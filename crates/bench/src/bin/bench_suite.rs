@@ -1,129 +1,65 @@
 // lint: allow(S002, suite runner drives every report() in-process; the per-binary cli wrapper does not apply)
 //! All-experiments suite runner for the benchmark snapshot pipeline.
 //!
-//! Runs every experiment's machine-readable report in a single process
-//! and writes each one to `<json-dir>/<bin-name>.json` — the same bytes
-//! the standalone `exp*` binaries write with `--json`, because the JSON
-//! carries only the deterministic report (runtime diagnostics are
-//! excluded by construction). One process instead of twenty-four
+//! Runs every experiment in `ia_bench::EXPERIMENTS`, in registry order,
+//! in a single process and writes each report to
+//! `<json-dir>/<bin-name>.json` — the same bytes the standalone `exp*`
+//! binaries write with `--json`, because the JSON carries only the
+//! deterministic report (runtime diagnostics are excluded by
+//! construction). One process instead of twenty-four
 //! matters on the snapshot path: fork+exec costs a couple of
 //! milliseconds per binary on a loaded host, which used to charge the
 //! suite wall ~50 ms of pure process churn.
 //!
 //! Per-experiment wall times are printed to stdout as `<bin-name> <ms>`
-//! lines for `scripts/bench_snapshot.sh` to fold into `BENCH_WALL.json`;
-//! measuring inside the process keeps the per-bin rows free of fork
-//! noise too.
+//! lines, in registry order. `scripts/bench_snapshot.sh` folds them into
+//! `BENCH_WALL.json` and takes its bin list — the order of
+//! `BENCH_PR.json` — from them; measuring inside the process keeps the
+//! per-bin rows free of fork noise too.
 //!
 //! ```text
 //! bench_suite [--quick] [--threads N] --json-dir DIR
 //! ```
 
-use ia_bench::report::{attach_par_diagnostics, ExperimentReport};
-
-/// One experiment's report entry point, parameterized by `--quick`.
-type ReportFn = fn(bool) -> ExperimentReport;
-
-/// Every experiment, keyed by its standalone binary name (the names
-/// `bench_snapshot.sh` derives from `crates/bench/src/bin/exp*.rs`).
-const SUITE: [(&str, ReportFn); 24] = [
-    (
-        "exp01_data_movement_energy",
-        ia_bench::exp01_data_movement::report,
-    ),
-    ("exp02_rowclone", ia_bench::exp02_rowclone::report),
-    ("exp03_ambit_bitwise", ia_bench::exp03_ambit::report),
-    ("exp04_rl_memctrl", ia_bench::exp04_rl_memctrl::report),
-    (
-        "exp05_scheduler_suite",
-        ia_bench::exp05_scheduler_suite::report,
-    ),
-    ("exp06_raidr", ia_bench::exp06_raidr::report),
-    ("exp07_bdi", ia_bench::exp07_bdi::report),
-    ("exp08_pnm_graph", ia_bench::exp08_pnm_graph::report),
-    ("exp09_pointer_chase", ia_bench::exp09_pointer_chase::report),
-    ("exp10_rowhammer", ia_bench::exp10_rowhammer::report),
-    ("exp11_grim_filter", ia_bench::exp11_grim_filter::report),
-    ("exp12_xmem", ia_bench::exp12_xmem::report),
-    (
-        "exp13_low_latency_dram",
-        ia_bench::exp13_low_latency_dram::report,
-    ),
-    ("exp14_hybrid_memory", ia_bench::exp14_hybrid_memory::report),
-    ("exp15_perceptron", ia_bench::exp15_perceptron::report),
-    (
-        "exp16_principles_ablation",
-        ia_bench::exp16_ablation::report,
-    ),
-    ("exp17_prefetchers", ia_bench::exp17_prefetchers::report),
-    ("exp18_noc", ia_bench::exp18_noc::report),
-    ("exp19_salp", ia_bench::exp19_salp::report),
-    ("exp20_eden", ia_bench::exp20_eden::report),
-    ("exp21_memscale", ia_bench::exp21_memscale::report),
-    ("exp22_runahead", ia_bench::exp22_runahead::report),
-    ("exp23_gsdram", ia_bench::exp23_gsdram::report),
-    (
-        "exp24_fault_injection",
-        ia_bench::exp24_fault_injection::report,
-    ),
-];
+use ia_bench::report::{exit_error, resolve_threads, RunContext};
+use ia_bench::EXPERIMENTS;
 
 fn main() {
     let mut quick = false;
+    let mut threads: Option<String> = None;
     let mut json_dir: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("error: {flag} expects a value");
-                std::process::exit(2);
-            })
+            args.next()
+                .unwrap_or_else(|| exit_error(&format!("{flag} expects a value")))
         };
         match arg.as_str() {
             "--quick" => quick = true,
-            "--threads" => {
-                let v = value("--threads");
-                let n = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("error: --threads expects a positive integer, got `{v}`");
-                        std::process::exit(2);
-                    });
-                ia_par::set_threads(n);
-            }
+            "--threads" => threads = Some(value("--threads")),
             "--json-dir" => json_dir = Some(value("--json-dir")),
             "--help" | "-h" => {
                 println!("usage: bench_suite [--quick] [--threads N] --json-dir DIR");
                 return;
             }
-            other => {
-                eprintln!("error: unknown argument `{other}`");
-                std::process::exit(2);
-            }
+            other => exit_error(&format!("unknown argument `{other}`")),
         }
     }
+    let threads = resolve_threads(threads.as_deref()).unwrap_or_else(|msg| exit_error(&msg));
     let Some(dir) = json_dir else {
-        eprintln!("error: --json-dir is required");
-        std::process::exit(2);
+        exit_error("--json-dir is required");
     };
 
-    for (name, report) in SUITE {
-        // Drain the ia-par ledger per experiment, exactly as each
-        // standalone binary's entry point does, so the (JSON-excluded)
-        // runtime diagnostics stay per-experiment.
-        let _ = ia_par::ledger::take();
+    let ctx = RunContext { quick, threads };
+    for experiment in &EXPERIMENTS {
         // lint: allow(D002, per-bin wall rows are host diagnostics on stdout; the report JSON carries no timing)
         let start = std::time::Instant::now();
-        let rep = attach_par_diagnostics(report(quick));
-        let mut text = rep.to_json().render();
+        let mut text = (experiment.report)(&ctx).to_json().render();
         text.push('\n');
-        let path = format!("{dir}/{name}.json");
+        let path = format!("{dir}/{}.json", experiment.bin);
         if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("error: writing {path}: {e}");
-            std::process::exit(2);
+            exit_error(&format!("writing {path}: {e}"));
         }
-        println!("{name} {}", start.elapsed().as_millis());
+        println!("{} {}", experiment.bin, start.elapsed().as_millis());
     }
 }

@@ -5,10 +5,9 @@
 //! major commonly-used consumer workloads" (Boroumand+, ASPLOS 2018), and
 //! PIM offload substantially reduces it.
 
-use ia_core::Table;
 use ia_workloads::{energy_breakdown, energy_with_pim, MobileWorkload, SystemEnergyModel};
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Parsed outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,46 +39,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let scale = if quick { 1 } else { 100 };
-    let model = SystemEnergyModel::default();
-    let suite = MobileWorkload::consumer_suite(scale);
-    let mut table = Table::new(&[
-        "workload",
-        "compute (uJ)",
-        "movement (uJ)",
-        "movement share",
-        "total w/ PIM-80% (uJ)",
-        "PIM saving",
-    ]);
-    for w in &suite {
-        let b = energy_breakdown(w, &model);
-        let pim = energy_with_pim(w, &model, 0.8);
-        table.row(&[
-            w.name.clone(),
-            format!("{:.1}", b.compute_pj / 1e6),
-            format!("{:.1}", b.movement_pj / 1e6),
-            pct(b.movement_fraction()),
-            format!("{:.1}", pim.total_pj() / 1e6),
-            pct(1.0 - pim.total_pj() / b.total_pj()),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E1: data-movement energy in consumer workloads (paper: 62.7% of system energy)\n{table}\n\
-         suite-wide movement share: {} | suite-wide PIM(80%) energy reduction: {}\n",
-        pct(o.movement_fraction),
-        pct(o.pim_reduction)
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp01_data_movement", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp01_data_movement", ctx.quick)
         .metric("movement_fraction", o.movement_fraction)
         .metric("pim_reduction", o.pim_reduction)
 }
@@ -87,6 +51,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn movement_share_matches_paper_shape() {
@@ -108,15 +73,27 @@ mod tests {
     }
 
     #[test]
-    fn table_renders_all_workloads() {
-        let s = run(true);
-        for name in [
-            "tensorflow-inference",
-            "video-playback",
-            "video-capture",
-            "chrome-browsing",
-        ] {
-            assert!(s.contains(name), "missing {name}:\n{s}");
+    fn report_covers_all_four_consumer_workloads() {
+        let rep = report(&QUICK);
+        for metric in ["movement_fraction", "pim_reduction"] {
+            let v = rep.metric_value(metric);
+            assert!(
+                v.is_some_and(|f| (0.0..1.0).contains(&f)),
+                "{metric}: {v:?}"
+            );
         }
+        let names: Vec<String> = MobileWorkload::consumer_suite(1)
+            .into_iter()
+            .map(|w| w.name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "tensorflow-inference",
+                "video-playback",
+                "video-capture",
+                "chrome-browsing",
+            ]
+        );
     }
 }

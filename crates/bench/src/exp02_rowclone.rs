@@ -4,11 +4,10 @@
 //! energy-efficient bulk data copy and initialization" — the original
 //! reports ≈11x latency and ≈74x energy reduction for in-subarray copy.
 
-use ia_core::Table;
 use ia_dram::{DramConfig, DramModule, PhysAddr};
 use ia_pum::{bulk_copy, CopyMode, CopyReport};
 
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Per-size results for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,64 +54,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let sizes: &[u64] = if quick {
-        &[4 << 10, 64 << 10]
-    } else {
-        &[4 << 10, 64 << 10, 1 << 20, 16 << 20]
-    };
-    let mut table = Table::new(&[
-        "size",
-        "CPU (us, nJ)",
-        "FPM (us, nJ)",
-        "LISA (us, nJ)",
-        "PSM (us, nJ)",
-        "FPM speedup",
-        "FPM energy gain",
-    ]);
-    for &bytes in sizes {
-        let cpu = copy(CopyMode::Cpu, bytes);
-        let fpm = copy(CopyMode::Fpm, bytes);
-        let lisa = {
-            let mut d = fresh();
-            let stride = row_stride(&d);
-            // Destination 8 subarrays away.
-            bulk_copy(
-                &mut d,
-                PhysAddr::new(0),
-                PhysAddr::new(8 * 512 * stride),
-                bytes,
-                CopyMode::Lisa,
-            )
-            .expect("valid lisa copy")
-        };
-        let psm = copy(CopyMode::Psm, bytes);
-        let cell = |r: &CopyReport| format!("{:.2}, {:.0}", r.ns / 1000.0, r.energy_pj / 1000.0);
-        table.row(&[
-            format!("{} KiB", bytes >> 10),
-            cell(&cpu),
-            cell(&fpm),
-            cell(&lisa),
-            cell(&psm),
-            ratio(cpu.ns, fpm.ns),
-            ratio(cpu.energy_pj, fpm.energy_pj),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E2: RowClone bulk copy (paper: ~11x latency, ~74x energy vs CPU copy)\n{table}\n\
-         headline: FPM {:.1}x faster, {:.0}x less energy; PSM {:.1}x faster\n",
-        o.fpm_speedup, o.fpm_energy_gain, o.psm_speedup
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp02_rowclone", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp02_rowclone", ctx.quick)
         .metric("fpm_speedup", o.fpm_speedup)
         .metric("fpm_energy_gain", o.fpm_energy_gain)
         .metric("psm_speedup", o.psm_speedup)
@@ -121,6 +67,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn fpm_reproduces_paper_shape() {
@@ -139,10 +86,11 @@ mod tests {
     }
 
     #[test]
-    fn table_contains_all_modes() {
-        let s = run(true);
-        for m in ["CPU", "FPM", "LISA", "PSM"] {
-            assert!(s.contains(m));
+    fn report_carries_the_headline_modes() {
+        let rep = report(&QUICK);
+        for metric in ["fpm_speedup", "fpm_energy_gain", "psm_speedup"] {
+            let v = rep.metric_value(metric);
+            assert!(v.is_some_and(|x| x > 1.0), "{metric}: {v:?}");
         }
     }
 }

@@ -4,11 +4,10 @@
 //! throughput and energy gains over moving data to the CPU — the original
 //! reports ~32x average throughput and 25-60x energy across operations.
 
-use ia_core::Table;
 use ia_dram::DramConfig;
 use ia_pum::{cpu_bitwise_baseline, AmbitEngine, BitwiseOp};
 
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Aggregate outcome across operations.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,52 +39,12 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let bytes: u64 = if quick { 1 << 20 } else { 8 << 20 };
-    let cfg = DramConfig::ddr3_1600();
-    let engine = AmbitEngine::new(&cfg);
-    let mut table = Table::new(&[
-        "op",
-        "AAPs/row",
-        "Ambit GB/s",
-        "CPU GB/s",
-        "throughput gain",
-        "energy gain",
-    ]);
-    for op in BitwiseOp::all() {
-        let in_dram = engine.throughput_gb_s(op);
-        let (cpu_ns, cpu_pj) = cpu_bitwise_baseline(&cfg, op, bytes);
-        let cpu_gbps = bytes as f64 / cpu_ns;
-        let energy_gain = cpu_pj / (engine.energy_pj_per_byte(op) * bytes as f64);
-        table.row(&[
-            op.name().to_owned(),
-            op.aap_count().to_string(),
-            format!("{in_dram:.1}"),
-            format!("{cpu_gbps:.1}"),
-            ratio(in_dram, cpu_gbps),
-            format!("{energy_gain:.1}x"),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E3: Ambit in-DRAM bulk bitwise ops, {} MiB vectors, {} banks in parallel\n\
-         (paper: ~32x average throughput, 25-60x energy vs processor-centric)\n{table}\n\
-         geomean: {:.1}x throughput, {:.1}x energy\n",
-        bytes >> 20,
-        engine.parallelism(),
-        o.mean_throughput_gain,
-        o.mean_energy_gain
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp03_ambit", quick)
-        .param("vector_bytes", if quick { 1u64 << 20 } else { 8 << 20 })
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp03_ambit", ctx.quick)
+        .param("vector_bytes", if ctx.quick { 1u64 << 20 } else { 8 << 20 })
         .metric("mean_throughput_gain", o.mean_throughput_gain)
         .metric("mean_energy_gain", o.mean_energy_gain)
 }
@@ -93,6 +52,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn gains_match_paper_shape() {
@@ -106,10 +66,11 @@ mod tests {
     }
 
     #[test]
-    fn table_lists_all_ops() {
-        let s = run(true);
-        for op in BitwiseOp::all() {
-            assert!(s.contains(op.name()));
+    fn report_carries_the_geomeans() {
+        let rep = report(&QUICK);
+        for metric in ["mean_throughput_gain", "mean_energy_gain"] {
+            let v = rep.metric_value(metric);
+            assert!(v.is_some_and(|x| x > 1.0), "{metric}: {v:?}");
         }
     }
 }

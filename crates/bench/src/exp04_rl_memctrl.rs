@@ -6,7 +6,6 @@
 //! (Ipek+, ISCA 2008 — ≈15-20% over FR-FCFS in their setup; crucially,
 //! the learned policy must leave the naive fixed policy far behind).
 
-use ia_core::Table;
 use ia_dram::DramConfig;
 use ia_memctrl::{
     run_closed_loop_with, Fcfs, FrFcfs, MemoryController, RlScheduler, RlSchedulerConfig, Scheduler,
@@ -14,7 +13,7 @@ use ia_memctrl::{
 use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Headline outcome.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,133 +35,38 @@ fn warm_substrate() -> MemoryController {
         .expect("valid config")
 }
 
-/// The FCFS / FR-FCFS / RL throughputs shared by the table and the
-/// headline ratios (memoized: each scheduler simulates once per
-/// process, per `quick` flag).
-fn baseline_throughputs(quick: bool) -> (f64, f64, f64) {
-    static CACHE: crate::report::OutcomeCache<(f64, f64, f64)> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || {
-        let n = if quick { 400 } else { 4000 };
-        let traces = interference_mix(n, 7);
-        let warm = warm_substrate();
-        let throughput_of = |scheduler: Box<dyn Scheduler>| {
-            run_closed_loop_with(
-                warm.fork().with_scheduler(scheduler),
-                &traces,
-                8,
-                200_000_000,
-            )
-            // lint: allow(P001, interference_mix traces are non-empty by construction)
-            .expect("run completes")
-            .throughput_rpkc()
-        };
-        (
-            throughput_of(Box::new(Fcfs::new())),
-            throughput_of(Box::new(FrFcfs::new())),
-            throughput_of(Box::new(RlScheduler::new(RlSchedulerConfig::default()))),
-        )
-    })
-}
-
-/// Computes the outcome.
+/// Runs FCFS, FR-FCFS and the RL scheduler over the same mix and
+/// compares their throughputs.
 #[must_use]
 pub fn outcome(quick: bool) -> Outcome {
-    let (fcfs, frfcfs, rl) = baseline_throughputs(quick);
+    let n = if quick { 400 } else { 4000 };
+    let traces = interference_mix(n, 7);
+    let warm = warm_substrate();
+    let throughput_of = |scheduler: Box<dyn Scheduler>| {
+        run_closed_loop_with(
+            warm.fork().with_scheduler(scheduler),
+            &traces,
+            8,
+            200_000_000,
+        )
+        // lint: allow(P001, interference_mix traces are non-empty by construction)
+        .expect("run completes")
+        .throughput_rpkc()
+    };
+    let fcfs = throughput_of(Box::new(Fcfs::new()));
+    let frfcfs = throughput_of(Box::new(FrFcfs::new()));
+    let rl = throughput_of(Box::new(RlScheduler::new(RlSchedulerConfig::default())));
     Outcome {
         rl_vs_fcfs: rl / fcfs,
         rl_vs_frfcfs: rl / frfcfs,
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let n = if quick { 400 } else { 4000 };
-    let mut table = Table::new(&["scheduler", "req/kcycle", "vs FCFS"]);
-    let (fcfs, frfcfs, rl_tp) = baseline_throughputs(quick);
-    for (name, tp) in [
-        ("FCFS", fcfs),
-        ("FR-FCFS", frfcfs),
-        ("RL (self-optimizing)", rl_tp),
-    ] {
-        table.row(&[name.to_owned(), format!("{tp:.2}"), ratio(tp, fcfs)]);
-    }
-
-    // Learning curve: the same agent (shared Q-table) across consecutive
-    // workload segments — throughput should not degrade, and typically
-    // rises as the policy converges.
-    let mut curve = Table::new(&["segment", "RL req/kcycle"]);
-    let rl = std::sync::Arc::new(std::sync::Mutex::new(RlScheduler::new(
-        RlSchedulerConfig::default(),
-    )));
-    let warm = warm_substrate();
-    let segments = if quick { 3 } else { 6 };
-    for seg in 0..segments {
-        let traces = interference_mix(n / 2, 100 + seg as u64);
-        let ctrl = warm.fork().with_scheduler(Box::new(SharedRl(rl.clone())));
-        let tp = run_closed_loop_with(ctrl, &traces, 8, 200_000_000)
-            // lint: allow(P001, interference_mix traces are non-empty by construction)
-            .expect("run completes")
-            .throughput_rpkc();
-        curve.row(&[format!("{seg}"), format!("{tp:.2}")]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E4: self-optimizing memory controller (paper: RL ≈ 15-20% over FR-FCFS-class fixed policies)\n\
-         {table}\n\nRL learning curve across workload segments (same agent, continuing to learn):\n{curve}\n\
-         headline: RL/FCFS = {:.2}, RL/FR-FCFS = {:.2}\n",
-        o.rl_vs_fcfs, o.rl_vs_frfcfs
-    )
-}
-
-/// A scheduler handle that shares one learning agent across several runs
-/// (the harness takes ownership of its scheduler per run). `Arc<Mutex>`
-/// rather than `Rc<RefCell>` because `Scheduler` is `Send`; the runs are
-/// serial, so the lock is never contended.
-#[derive(Debug)]
-struct SharedRl(std::sync::Arc<std::sync::Mutex<RlScheduler>>);
-
-impl SharedRl {
-    fn agent(&self) -> std::sync::MutexGuard<'_, RlScheduler> {
-        // lint: allow(P001, single-threaded use - the lock cannot be poisoned)
-        self.0.lock().expect("uncontended")
-    }
-}
-
-impl ia_memctrl::Scheduler for SharedRl {
-    fn name(&self) -> &'static str {
-        "RL (self-optimizing)"
-    }
-    fn clone_box(&self) -> Box<dyn ia_memctrl::Scheduler> {
-        // A "clone" shares the same live agent: that is the type's point.
-        Box::new(SharedRl(self.0.clone()))
-    }
-    fn view_mode(&self) -> ia_memctrl::ViewMode {
-        self.agent().view_mode()
-    }
-    fn select(
-        &mut self,
-        queue: &ia_memctrl::RequestQueue,
-        view: &ia_memctrl::IssueView,
-    ) -> Option<ia_memctrl::ReqId> {
-        self.agent().select(queue, view)
-    }
-    fn on_issue(&mut self, column: bool, now: ia_dram::Cycle) {
-        self.agent().on_issue(column, now);
-    }
-    fn on_complete(&mut self, c: &ia_memctrl::Completed, now: ia_dram::Cycle) {
-        self.agent().on_complete(c, now);
-    }
-    fn on_tick(&mut self, now: ia_dram::Cycle) {
-        self.agent().on_tick(now);
-    }
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp04_rl_memctrl", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp04_rl_memctrl", ctx.quick)
         .metric("rl_vs_fcfs", o.rl_vs_fcfs)
         .metric("rl_vs_frfcfs", o.rl_vs_frfcfs)
 }
@@ -170,26 +74,19 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn rl_beats_fcfs_and_tracks_frfcfs() {
-        let o = outcome(true);
+        let rep = report(&QUICK);
+        let vs_fcfs = rep.metric_value("rl_vs_fcfs").expect("RL vs FCFS reported");
+        let vs_frfcfs = rep
+            .metric_value("rl_vs_frfcfs")
+            .expect("RL vs FR-FCFS reported");
+        assert!(vs_fcfs > 1.02, "RL must beat naive FCFS, got {vs_fcfs:.3}");
         assert!(
-            o.rl_vs_fcfs > 1.02,
-            "RL must beat naive FCFS, got {:.3}",
-            o.rl_vs_fcfs
+            vs_frfcfs > 0.9,
+            "RL must be competitive with FR-FCFS, got {vs_frfcfs:.3}"
         );
-        assert!(
-            o.rl_vs_frfcfs > 0.9,
-            "RL must be competitive with FR-FCFS, got {:.3}",
-            o.rl_vs_frfcfs
-        );
-    }
-
-    #[test]
-    fn report_renders() {
-        let s = run(true);
-        assert!(s.contains("FR-FCFS"));
-        assert!(s.contains("learning curve"));
     }
 }

@@ -6,13 +6,14 @@
 //! against fairness. This experiment reproduces the classic comparison:
 //! weighted speedup and maximum slowdown over a 4-thread interference mix.
 
-use ia_core::{SchedulerKind, Table};
+use ia_core::SchedulerKind;
 use ia_dram::DramConfig;
 use ia_memctrl::{max_slowdown, run_closed_loop_with, weighted_speedup, MemoryController};
-use ia_par::{auto_threads, par_map};
+use ia_par::par_map;
 use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Result per scheduler for assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,16 +32,12 @@ pub struct Row {
     pub engine: ia_sim::EngineStats,
 }
 
-/// Runs every scheduler over the mix and returns the rows (memoized:
-/// `run` and `report` share one simulation per process).
+/// Runs every scheduler over the mix and returns the rows. When
+/// `ia-trace` capture is on, each shared run's trace is submitted to the
+/// session, in scheduler order.
 #[must_use]
-pub fn rows(quick: bool) -> Vec<Row> {
-    static CACHE: crate::report::OutcomeCache<Vec<Row>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_rows(quick))
-}
-
-fn compute_rows(quick: bool) -> Vec<Row> {
-    let n = if quick { 300 } else { 3000 };
+pub fn rows(ctx: &RunContext) -> Vec<Row> {
+    let n = if ctx.quick { 300 } else { 3000 };
     let traces = interference_mix(n, 11);
 
     // Warm-fork: build the DRAM substrate and controller scaffolding
@@ -61,7 +58,7 @@ fn compute_rows(quick: bool) -> Vec<Row> {
         .iter()
         .map(|t| (warm.fork(), vec![t.clone()]))
         .collect();
-    let alone: Vec<u64> = par_map(auto_threads(), alone_jobs, |(ctrl, solo)| {
+    let alone: Vec<u64> = par_map(ctx.threads, alone_jobs, |(ctrl, solo)| {
         run_closed_loop_with(ctrl, &solo, 8, 200_000_000)
             // lint: allow(P001, every mix trace is non-empty)
             .expect("solo run")
@@ -79,7 +76,7 @@ fn compute_rows(quick: bool) -> Vec<Row> {
         .iter()
         .map(|&kind| (kind, warm.fork().with_scheduler(kind.build(traces.len()))))
         .collect();
-    let runs = par_map(auto_threads(), shared_jobs, |(kind, ctrl)| {
+    let runs = par_map(ctx.threads, shared_jobs, |(kind, ctrl)| {
         let mut report = run_closed_loop_with(ctrl, &traces, 8, 500_000_000)
             // lint: allow(P001, every mix trace is non-empty)
             .expect("shared run");
@@ -104,41 +101,17 @@ fn compute_rows(quick: bool) -> Vec<Row> {
         .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let mut table = Table::new(&[
-        "scheduler",
-        "weighted speedup",
-        "max slowdown",
-        "req/kcycle",
-    ]);
-    for r in &rows {
-        table.row(&[
-            r.name.clone(),
-            format!("{:.3}", r.weighted_speedup),
-            format!("{:.2}", r.max_slowdown),
-            format!("{:.2}", r.throughput),
-        ]);
-    }
-    format!(
-        "E5: scheduler lineage on a 4-thread interference mix\n\
-         (paper shape: FR-FCFS beats FCFS on throughput; fairness schedulers cut max slowdown)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp05_scheduler_suite", quick).columns(&[
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let mut rep = ExperimentReport::new("exp05_scheduler_suite", ctx.quick).columns(&[
         "scheduler",
         "weighted_speedup",
         "max_slowdown",
         "req_per_kcycle",
     ]);
     let mut engine = ia_sim::EngineStats::default();
-    for r in rows(quick) {
+    for r in rows(ctx) {
         let key = r.name.to_lowercase().replace([' ', '-'], "_");
         engine.merge(&r.engine);
         rep = rep
@@ -161,10 +134,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn frfcfs_outperforms_fcfs_on_throughput() {
-        let rows = rows(true);
+        let rows = rows(&QUICK);
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let fcfs = get("FCFS");
         let frfcfs = get("FR-FCFS");
@@ -178,7 +152,7 @@ mod tests {
 
     #[test]
     fn fairness_schedulers_bound_slowdown() {
-        let rows = rows(true);
+        let rows = rows(&QUICK);
         let get = |n: &str| rows.iter().find(|r| r.name == n).expect("present").clone();
         let frfcfs = get("FR-FCFS");
         let best_fair = ["PAR-BS", "ATLAS", "TCM", "BLISS"]
@@ -195,7 +169,7 @@ mod tests {
 
     #[test]
     fn all_schedulers_complete_the_mix() {
-        let rows = rows(true);
+        let rows = rows(&QUICK);
         assert_eq!(rows.len(), 7);
         assert!(rows.iter().all(|r| r.weighted_speedup > 0.0));
     }

@@ -5,12 +5,11 @@
 //! of refreshes with a few kilobits of Bloom-filter state, and the win
 //! grows with device density.
 
-use ia_core::Table;
 use ia_reliability::{Raidr, RetentionModel};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,11 +23,6 @@ pub struct Outcome {
 /// Computes the outcome.
 #[must_use]
 pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
     let rows = if quick { 64 * 1024 } else { 1024 * 1024 };
     let mut rng = SmallRng::seed_from_u64(23);
     let profile = RetentionModel::typical().profile(rows, &mut rng);
@@ -39,52 +33,11 @@ fn compute_outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let densities: &[(u64, &str)] = if quick {
-        &[(32 * 1024, "4Gb-class"), (64 * 1024, "8Gb-class")]
-    } else {
-        &[
-            (32 * 1024, "4Gb-class"),
-            (64 * 1024, "8Gb-class"),
-            (256 * 1024, "32Gb-class"),
-            (1024 * 1024, "64Gb-class"),
-        ]
-    };
-    let mut rng = SmallRng::seed_from_u64(23);
-    let mut table = Table::new(&[
-        "device (rows/bank)",
-        "weak <64ms",
-        "weak <128ms",
-        "refresh reduction",
-        "controller storage",
-    ]);
-    for &(rows, label) in densities {
-        let profile = RetentionModel::typical().profile(rows, &mut rng);
-        let raidr = Raidr::from_profile(&profile).expect("non-empty profile");
-        table.row(&[
-            format!("{label} ({rows})"),
-            profile.weak64.len().to_string(),
-            profile.weak128.len().to_string(),
-            pct(raidr.reduction_over(8)),
-            format!("{:.1} Kib", raidr.storage_bits() as f64 / 1024.0),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E6: RAIDR retention-aware refresh (paper: ≈74.6% refresh reduction, kilobits of state)\n{table}\n\
-         headline: {} reduction with {:.1} Kib of Bloom filters\n",
-        pct(o.reduction),
-        o.storage_bits as f64 / 1024.0
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp06_raidr", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp06_raidr", ctx.quick)
         .metric("refresh_reduction", o.reduction)
         .metric("storage_bits", o.storage_bits as f64)
 }
@@ -92,6 +45,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn reduction_approaches_three_quarters() {
@@ -114,9 +68,13 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_densities() {
-        let s = run(true);
-        assert!(s.contains("4Gb-class"));
-        assert!(s.contains("refresh reduction"));
+    fn report_carries_reduction_and_storage() {
+        let rep = report(&QUICK);
+        let reduction = rep.metric_value("refresh_reduction");
+        assert!(
+            reduction.is_some_and(|r| (0.0..1.0).contains(&r)),
+            "{reduction:?}"
+        );
+        assert!(rep.metric_value("storage_bits").is_some_and(|b| b > 0.0));
     }
 }

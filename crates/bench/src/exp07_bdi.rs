@@ -7,9 +7,10 @@
 //! enlargement on real data patterns.
 
 use ia_cache::{bdi_compress, CompressedCache};
-use ia_core::Table;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,32 +101,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let blocks = if quick { 50 } else { 1000 };
-    let mut rng = SmallRng::seed_from_u64(31);
-    let mut table = Table::new(&["data pattern", "BDI compression ratio"]);
-    for kind in ["zeros", "repeated", "narrow-ints", "pointers", "random"] {
-        table.row(&[
-            kind.to_owned(),
-            format!("{:.2}x", pattern_ratio(kind, blocks, &mut rng)),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E7: BDI cache compression (paper: ≈1.5x average ratio, larger effective cache)\n{table}\n\
-         mean ratio across patterns: {:.2}x | compressed-cache hit-rate gain on pointer data: +{:.1} pts\n",
-        o.mean_ratio,
-        o.hit_rate_gain * 100.0
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp07_bdi", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp07_bdi", ctx.quick)
         .metric("mean_compression_ratio", o.mean_ratio)
         .metric("hit_rate_gain", o.hit_rate_gain)
 }
@@ -133,6 +113,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn mean_ratio_matches_paper_band() {
@@ -155,10 +136,27 @@ mod tests {
     }
 
     #[test]
-    fn report_lists_patterns() {
-        let s = run(true);
-        for k in ["zeros", "pointers", "random"] {
-            assert!(s.contains(k));
-        }
+    fn every_pattern_compresses_as_expected() {
+        let mut rng = SmallRng::seed_from_u64(31);
+        let ratio = |k: &str, rng: &mut SmallRng| pattern_ratio(k, 50, rng);
+        assert!(ratio("zeros", &mut rng) > 8.0, "all-zero lines collapse");
+        assert!(
+            ratio("pointers", &mut rng) > 1.5,
+            "base+delta packs pointers"
+        );
+        let random = ratio("random", &mut rng);
+        assert!(
+            random <= 1.0 + 1e-9,
+            "random data is incompressible: {random}"
+        );
+    }
+
+    #[test]
+    fn report_carries_ratio_and_hit_rate_gain() {
+        let rep = report(&QUICK);
+        assert!(rep
+            .metric_value("mean_compression_ratio")
+            .is_some_and(|r| r > 1.0));
+        assert!(rep.metric_value("hit_rate_gain").is_some());
     }
 }

@@ -5,13 +5,12 @@
 //! magnitude improvement" as internal bandwidth scales; Tesseract (Ahn+,
 //! ISCA 2015) reports ≈10x at 16-vault-cube scale.
 
-use ia_core::Table;
 use ia_pnm::{host_pagerank_ns, PnmGraphEngine, StackConfig};
 use ia_workloads::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{pct, ratio};
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,13 +21,8 @@ pub struct Outcome {
 
 /// Computes the vault-scaling sweep.
 #[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
-    let (v, e) = if quick {
+pub fn outcome(ctx: &RunContext) -> Outcome {
+    let (v, e) = if ctx.quick {
         (2048, 32 * 1024)
     } else {
         (16 * 1024, 512 * 1024)
@@ -39,7 +33,7 @@ fn compute_outcome(quick: bool) -> Outcome {
     let iterations = 10;
     // The graph is built once and shared read-only; each vault count is
     // an independent PNM simulation over it.
-    let speedups = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
+    let speedups = ia_par::par_map(ctx.threads, vec![1usize, 4, 16, 32], |vaults| {
         let stack = StackConfig::hmc_like()
             .with_vaults(vaults)
             // lint: allow(P001, vaults ranges over the literal non-zero list 1/4/16/32)
@@ -55,63 +49,12 @@ fn compute_outcome(quick: bool) -> Outcome {
     Outcome { speedups }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let (v, e) = if quick {
-        (2048, 32 * 1024)
-    } else {
-        (16 * 1024, 512 * 1024)
-    };
-    let mut rng = SmallRng::seed_from_u64(41);
-    // lint: allow(P001, v and e are positive literals for both sizes - always a valid RMAT shape)
-    let g = Graph::rmat(v, e, &mut rng).expect("valid rmat");
-    let iterations = 10;
-    let mut table = Table::new(&[
-        "vaults",
-        "internal GB/s",
-        "PNM time (us)",
-        "host time (us)",
-        "speedup",
-        "remote edges",
-    ]);
-    // Same fan-out as `outcome`; each task returns its preformatted
-    // table cells, appended in vault order after the pool joins.
-    let rows = ia_par::par_map(ia_par::auto_threads(), vec![1usize, 4, 16, 32], |vaults| {
-        let stack = StackConfig::hmc_like()
-            .with_vaults(vaults)
-            // lint: allow(P001, vaults ranges over the literal non-zero list 1/4/16/32)
-            .expect("non-zero");
-        // lint: allow(P001, the hmc_like preset is valid for every vault count in the list)
-        let engine = PnmGraphEngine::new(stack, &g).expect("valid stack");
-        let (ranks, report) = engine.pagerank(0.85, iterations);
-        // Sanity: functional result matches the host reference.
-        debug_assert_eq!(ranks.len(), g.vertex_count() as usize);
-        let host = host_pagerank_ns(&stack, &g, iterations);
-        [
-            vaults.to_string(),
-            format!("{:.0}", stack.internal_gbps_total()),
-            format!("{:.1}", report.total_ns / 1000.0),
-            format!("{:.1}", host / 1000.0),
-            ratio(host, report.total_ns),
-            pct(report.remote_edge_fraction),
-        ]
-    });
-    for cells in &rows {
-        table.row(cells);
-    }
-    format!(
-        "E8: PageRank on an R-MAT graph ({v} vertices, {e} edges), near-memory vs host\n\
-         (paper shape: ≈10x at 16 vaults, scaling with internal bandwidth)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx);
     let best = o.speedups.iter().fold(0.0f64, |a, &(_, s)| a.max(s));
-    let mut rep = crate::report::ExperimentReport::new("exp08_pnm_graph", quick)
+    let mut rep = ExperimentReport::new("exp08_pnm_graph", ctx.quick)
         .metric("best_speedup", best)
         .columns(&["vaults", "speedup"]);
     for (vaults, s) in &o.speedups {
@@ -123,10 +66,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn speedup_grows_with_vaults() {
-        let o = outcome(true);
+        let o = outcome(&QUICK);
         let s: Vec<f64> = o.speedups.iter().map(|&(_, s)| s).collect();
         assert!(s[1] > s[0], "4 vaults should beat 1: {s:?}");
         assert!(s[2] > s[1], "16 vaults should beat 4: {s:?}");
@@ -134,7 +78,7 @@ mod tests {
 
     #[test]
     fn sixteen_vaults_reach_tesseract_band() {
-        let o = outcome(true);
+        let o = outcome(&QUICK);
         let s16 = o
             .speedups
             .iter()
@@ -145,9 +89,11 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        let s = run(true);
-        assert!(s.contains("vaults"));
-        assert!(s.contains("speedup"));
+    fn report_tabulates_speedup_per_vault_count() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers, ["vaults", "speedup"]);
+        let vaults: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(vaults, ["1", "4", "16", "32"]);
+        assert!(rep.metric_value("best_speedup").is_some_and(|s| s > 1.0));
     }
 }

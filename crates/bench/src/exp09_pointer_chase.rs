@@ -5,12 +5,11 @@
 //! internal latency, and vault-parallel walkers scale past the host's
 //! outstanding-miss limit.
 
-use ia_core::Table;
 use ia_pnm::{concurrent_traversals, traverse_host, traverse_pnm, LinkedChain, StackConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,45 +36,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let hops = if quick { 2_000 } else { 100_000 };
-    let stack = StackConfig::hmc_like();
-    let mut rng = SmallRng::seed_from_u64(43);
-    let chain = LinkedChain::random_cycle(64 * 1024, &mut rng).expect("valid chain");
-
-    let mut table = Table::new(&["streams", "host (us)", "in-memory (us)", "speedup"]);
-    for streams in [1u64, 4, 16, 64] {
-        let (h, p) = if streams == 1 {
-            let h = traverse_host(&chain, &stack, 0, hops);
-            let p = traverse_pnm(&chain, &stack, 0, hops);
-            assert_eq!(h.end, p.end, "both walkers must reach the same node");
-            (h.ns, p.ns)
-        } else {
-            concurrent_traversals(&stack, streams, hops)
-        };
-        table.row(&[
-            streams.to_string(),
-            format!("{:.1}", h / 1000.0),
-            format!("{:.1}", p / 1000.0),
-            ratio(h, p),
-        ]);
-    }
-    let o = outcome(quick);
-    format!(
-        "E9: pointer chasing, {hops} dependent hops over a 64Ki-node chain\n\
-         (paper shape: speedup ≈ external/internal latency ratio, growing with concurrent walkers)\n{table}\n\
-         headline: {:.1}x single-stream, {:.1}x at 64 streams\n",
-        o.single_stream_speedup, o.multi_stream_speedup
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp09_pointer_chase", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp09_pointer_chase", ctx.quick)
         .metric("single_stream_speedup", o.single_stream_speedup)
         .metric("multi_stream_speedup", o.multi_stream_speedup)
 }
@@ -83,6 +48,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn single_stream_tracks_latency_ratio() {
@@ -103,7 +69,21 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("streams"));
+    fn host_and_in_memory_walkers_reach_the_same_node() {
+        let stack = StackConfig::hmc_like();
+        let mut rng = SmallRng::seed_from_u64(43);
+        let chain = LinkedChain::random_cycle(64 * 1024, &mut rng).expect("valid chain");
+        let h = traverse_host(&chain, &stack, 0, 2_000);
+        let p = traverse_pnm(&chain, &stack, 0, 2_000);
+        assert_eq!(h.end, p.end, "both walkers must reach the same node");
+    }
+
+    #[test]
+    fn report_carries_both_stream_counts() {
+        let rep = report(&QUICK);
+        for metric in ["single_stream_speedup", "multi_stream_speedup"] {
+            let v = rep.metric_value(metric);
+            assert!(v.is_some_and(|x| x > 1.0), "{metric}: {v:?}");
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! ISCA 2020) shows `HC_first` collapsing from ≈139k (2013 DDR3) to
 //! ≈4.8k (2020 LPDDR4); PARA and counter-based TRR suppress the flips.
 
-use ia_core::Table;
 use ia_reliability::{
     double_sided_pattern, run_attack, CounterTrr, DeviceGeneration, Para, RowHammerModel,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,13 +41,8 @@ enum Attack {
 /// configurations are independent and fan out on the worker pool with
 /// results identical at any `--threads` setting.
 #[must_use]
-pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
-    let hammers = if quick { 300_000 } else { 2_000_000 };
+pub fn outcome(ctx: &RunContext) -> Outcome {
+    let hammers = if ctx.quick { 300_000 } else { 2_000_000 };
     let rows = 1 << 14;
     let victim = 5000;
     let pattern = double_sided_pattern(victim, hammers);
@@ -59,7 +55,7 @@ fn compute_outcome(quick: bool) -> Outcome {
     tasks.push(Attack::Para);
     tasks.push(Attack::Trr);
 
-    let flips = ia_par::par_map_indexed(ia_par::auto_threads(), tasks, |i, attack| {
+    let flips = ia_par::par_map_indexed(ctx.threads, tasks, |i, attack| {
         let mut rng = SmallRng::seed_from_u64(53 + i as u64);
         match attack {
             Attack::Unmitigated(g) => {
@@ -87,53 +83,12 @@ fn compute_outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the tables.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let hammers = if quick { 300_000 } else { 2_000_000 };
-    let o = outcome(quick);
-    let mut gen_table = Table::new(&["device generation", "HC_first", "flips (double-sided)"]);
-    for &(g, flips) in &o.unmitigated {
-        gen_table.row(&[
-            g.label().to_owned(),
-            g.hc_first().to_string(),
-            flips.to_string(),
-        ]);
-    }
-    let newest_flips = o.unmitigated.last().map_or(0, |&(_, f)| f);
-    let mut mit_table = Table::new(&["mitigation (LPDDR4-2020)", "flips", "suppression"]);
-    mit_table.row(&["none".to_owned(), newest_flips.to_string(), "1x".to_owned()]);
-    mit_table.row(&[
-        "PARA (p=0.01)".to_owned(),
-        o.para_flips.to_string(),
-        if o.para_flips == 0 {
-            "complete".to_owned()
-        } else {
-            format!("{:.0}x", newest_flips as f64 / o.para_flips as f64)
-        },
-    ]);
-    mit_table.row(&[
-        "Counter-TRR".to_owned(),
-        o.trr_flips.to_string(),
-        if o.trr_flips == 0 {
-            "complete".to_owned()
-        } else {
-            format!("{:.0}x", newest_flips as f64 / o.trr_flips as f64)
-        },
-    ]);
-    format!(
-        "E10: RowHammer, {hammers} double-sided activations in one refresh window\n\
-         (paper shape: flips explode as HC_first drops 139k→4.8k; mitigations suppress them)\n\
-         {gen_table}\n\n{mit_table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx);
     let worst = o.unmitigated.iter().map(|&(_, f)| f).max().unwrap_or(0);
-    let mut rep = crate::report::ExperimentReport::new("exp10_rowhammer", quick)
+    let mut rep = ExperimentReport::new("exp10_rowhammer", ctx.quick)
         .metric("worst_unmitigated_flips", worst as f64)
         .metric("para_flips", o.para_flips as f64)
         .metric("trr_flips", o.trr_flips as f64)
@@ -147,10 +102,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn newer_devices_flip_more() {
-        let o = outcome(true);
+        let o = outcome(&QUICK);
         let flips: Vec<u64> = o.unmitigated.iter().map(|&(_, f)| f).collect();
         assert!(
             flips[2] > flips[1],
@@ -164,7 +120,7 @@ mod tests {
 
     #[test]
     fn mitigations_suppress_flips() {
-        let o = outcome(true);
+        let o = outcome(&QUICK);
         let unmitigated = o.unmitigated.last().map(|&(_, f)| f).unwrap_or(0);
         assert!(unmitigated > 0);
         assert!(
@@ -179,9 +135,15 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_generations() {
-        let s = run(true);
-        assert!(s.contains("DDR3 (2013)"));
-        assert!(s.contains("PARA"));
+    fn report_covers_every_generation_and_mitigation() {
+        let rep = report(&QUICK);
+        let generations: Vec<String> = rep.rows.iter().map(|r| r[0].clone()).collect();
+        let expected: Vec<String> = DeviceGeneration::all()
+            .iter()
+            .map(|g| format!("{g:?}"))
+            .collect();
+        assert_eq!(generations, expected);
+        assert!(rep.metric_value("para_flips").is_some());
+        assert!(rep.metric_value("trr_flips").is_some());
     }
 }

@@ -6,14 +6,13 @@
 //! before the expensive alignment step (reported: ≈5.6x fewer false
 //! locations, ≈1.8-3.7x faster read mapping).
 
-use ia_core::Table;
 use ia_dram::DramConfig;
 use ia_pum::{AmbitEngine, BitwiseOp};
 use ia_workloads::{edit_distance_banded, random_genome, sample_reads, GrimIndex, SeedIndex};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::{pct, ratio};
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,11 +34,6 @@ fn verify_cost_ns(read_len: usize, band: usize) -> f64 {
 /// Computes the outcome.
 #[must_use]
 pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
     let (genome_len, read_count) = if quick {
         (64 * 1024, 40)
     } else {
@@ -166,28 +160,11 @@ fn compute_outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let o = outcome(quick);
-    let mut table = Table::new(&["metric", "value"]);
-    table.row(&[
-        "candidate locations eliminated",
-        &pct(o.candidates_eliminated),
-    ]);
-    table.row(&["end-to-end mapping speedup", &ratio(o.mapping_speedup, 1.0)]);
-    table.row(&["true mappings lost", &o.lost_mappings.to_string()]);
-    format!(
-        "E11: GRIM-Filter seed-location filtering via in-DRAM bitwise AND\n\
-         (paper shape: large candidate reduction, 2-4x mapping speedup, no lost mappings)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp11_grim_filter", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp11_grim_filter", ctx.quick)
         .metric("candidates_eliminated", o.candidates_eliminated)
         .metric("mapping_speedup", o.mapping_speedup)
         .metric("lost_mappings", o.lost_mappings as f64)
@@ -196,6 +173,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn filter_eliminates_most_candidates_without_losing_mappings() {
@@ -213,16 +191,12 @@ mod tests {
 
     #[test]
     fn filtering_speeds_up_mapping() {
-        let o = outcome(true);
-        assert!(
-            o.mapping_speedup > 1.1,
-            "speedup {:.2} should exceed 1x",
-            o.mapping_speedup
-        );
-    }
-
-    #[test]
-    fn report_renders() {
-        assert!(run(true).contains("eliminated"));
+        let rep = report(&QUICK);
+        let speedup = rep.metric_value("mapping_speedup").expect("reported");
+        assert!(speedup > 1.1, "speedup {speedup:.2} should exceed 1x");
+        assert!(rep
+            .metric_value("candidates_eliminated")
+            .is_some_and(|f| f > 0.0));
+        assert_eq!(rep.metric_value("lost_mappings"), Some(0.0));
     }
 }

@@ -6,13 +6,12 @@
 //! invisible to a semantics-blind hierarchy.
 
 use ia_cache::{Cache, CacheOp};
-use ia_core::Table;
 use ia_workloads::{Op, StreamGen, TraceGenerator, ZipfGen};
 use ia_xmem::{AtomRegistry, Criticality, DataAttributes, DataAwareCache, Locality};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,32 +102,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let o = outcome(quick);
-    let mut table = Table::new(&["cache", "LLC hit rate", "hot-set retention"]);
-    table.row(&[
-        "semantics-oblivious",
-        &pct(o.oblivious_hit_rate),
-        &pct(o.oblivious_retention),
-    ]);
-    table.row(&[
-        "X-Mem data-aware",
-        &pct(o.aware_hit_rate),
-        &pct(o.aware_retention),
-    ]);
-    format!(
-        "E12: data-aware cache management (critical hot structure vs streaming scan)\n\
-         (paper shape: attribute-guided insertion protects the hot set; hit rate rises)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp12_xmem", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp12_xmem", ctx.quick)
         .metric("oblivious_hit_rate", o.oblivious_hit_rate)
         .metric("aware_hit_rate", o.aware_hit_rate)
         .metric("oblivious_retention", o.oblivious_retention)
@@ -138,6 +116,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn data_awareness_improves_hit_rate() {
@@ -166,7 +145,10 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("X-Mem"));
+    fn report_compares_oblivious_and_aware_caches() {
+        let rep = report(&QUICK);
+        let get = |m: &str| rep.metric_value(m).expect("metric reported");
+        assert!(get("aware_hit_rate") > get("oblivious_hit_rate"));
+        assert!(get("aware_retention") > get("oblivious_retention"));
     }
 }

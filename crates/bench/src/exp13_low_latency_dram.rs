@@ -5,13 +5,12 @@
 //! (common-case timing margins, Lee+ HPCA 2015) and ChargeCache
 //! (recently-closed rows are highly charged, Hassan+ HPCA 2016).
 
-use ia_core::Table;
 use ia_dram::{DramConfig, LatencyMode};
 use ia_memctrl::{run_closed_loop_with, FrFcfs, MemRequest, MemoryController, RunReport};
 use ia_sim::SnapshotState;
 
 use crate::mixes::interference_mix;
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,31 +50,18 @@ fn run_mode(
     run_closed_loop_with(ctrl, traces, 8, 500_000_000).expect("run completes")
 }
 
-/// The standard / AL-DRAM / ChargeCache runs shared by the table and the
-/// machine-readable report (memoized: each mode simulates once per
-/// process, per `quick` flag).
-fn shared_runs(quick: bool) -> (RunReport, RunReport, RunReport) {
-    static CACHE: crate::report::OutcomeCache<(RunReport, RunReport, RunReport)> =
-        crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || {
-        let (warm, traces) = substrate(quick);
-        let cc_mode = LatencyMode::ChargeCache {
-            entries_per_bank: 16,
-            window: 200_000,
-            scale: 0.65,
-        };
-        (
-            run_mode(&warm, &traces, None),
-            run_mode(&warm, &traces, Some(LatencyMode::AlDram { scale: 0.7 })),
-            run_mode(&warm, &traces, Some(cc_mode)),
-        )
-    })
-}
-
-/// Computes the outcome.
+/// Runs the standard, AL-DRAM and ChargeCache modes over the same mix.
 #[must_use]
 pub fn outcome(quick: bool) -> Outcome {
-    let (std_r, al_r, cc_r) = shared_runs(quick);
+    let (warm, traces) = substrate(quick);
+    let cc_mode = LatencyMode::ChargeCache {
+        entries_per_bank: 16,
+        window: 200_000,
+        scale: 0.65,
+    };
+    let std_r = run_mode(&warm, &traces, None);
+    let al_r = run_mode(&warm, &traces, Some(LatencyMode::AlDram { scale: 0.7 }));
+    let cc_r = run_mode(&warm, &traces, Some(cc_mode));
     Outcome {
         standard_latency: std_r.stats.avg_latency(),
         aldram_latency: al_r.stats.avg_latency(),
@@ -84,44 +70,11 @@ pub fn outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let (std_r, al_r, cc_r) = shared_runs(quick);
-    let tl_mode = LatencyMode::TieredLatency {
-        near_fraction: 0.25,
-        near_scale: 0.6,
-        far_scale: 1.1,
-    };
-    let (warm, traces) = substrate(quick);
-    let tl_r = run_mode(&warm, &traces, Some(tl_mode));
-
-    let mut table = Table::new(&["DRAM mode", "avg latency (cy)", "req/kcycle", "speedup"]);
-    let base_tp = std_r.throughput_rpkc();
-    for (name, r) in [
-        ("standard timing", &std_r),
-        ("AL-DRAM (0.7x tRCD/tRAS/tRP)", &al_r),
-        ("ChargeCache (0.65x on hit)", &cc_r),
-        ("TL-DRAM (near 25% @0.6x, far @1.1x)", &tl_r),
-    ] {
-        table.row(&[
-            name.to_owned(),
-            format!("{:.1}", r.stats.avg_latency()),
-            format!("{:.2}", r.throughput_rpkc()),
-            ratio(r.throughput_rpkc(), base_tp),
-        ]);
-    }
-    format!(
-        "E13: reduced-latency DRAM (paper shape: AL-DRAM and ChargeCache cut average latency,\n\
-         improving throughput, with ChargeCache gated by reopened-row locality)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp13_low_latency_dram", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp13_low_latency_dram", ctx.quick)
         .metric("standard_latency", o.standard_latency)
         .metric("aldram_latency", o.aldram_latency)
         .metric("chargecache_latency", o.chargecache_latency)
@@ -131,6 +84,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn aldram_reduces_latency() {
@@ -173,9 +127,16 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_modes() {
-        let s = run(true);
-        assert!(s.contains("AL-DRAM"));
-        assert!(s.contains("ChargeCache"));
+    fn report_carries_every_mode() {
+        let rep = report(&QUICK);
+        for metric in [
+            "standard_latency",
+            "aldram_latency",
+            "chargecache_latency",
+            "chargecache_hit_rate",
+        ] {
+            let v = rep.metric_value(metric);
+            assert!(v.is_some_and(f64::is_finite), "{metric}: {v:?}");
+        }
     }
 }

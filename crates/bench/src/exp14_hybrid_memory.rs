@@ -7,13 +7,12 @@
 //! front of large PCM, beating the conventional LRU DRAM cache by caching
 //! only the pages that actually suffer on PCM.
 
-use ia_core::Table;
 use ia_memctrl::{HybridMemory, HybridTiming, PlacementPolicy};
 use ia_workloads::{TraceGenerator, ZipfGen};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Outcome for assertions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,11 +50,6 @@ fn run_policy(policy: PlacementPolicy, dram_pages: usize, quick: bool) -> Hybrid
 /// Computes the outcome (DRAM tier = 1/16 of the pages).
 #[must_use]
 pub fn outcome(quick: bool) -> Outcome {
-    static CACHE: crate::report::OutcomeCache<Outcome> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_outcome(quick))
-}
-
-fn compute_outcome(quick: bool) -> Outcome {
     let dram_pages = 256;
     // "All-PCM": a 1-page DRAM tier with promotion disabled.
     let all_pcm = run_policy(
@@ -80,54 +74,11 @@ fn compute_outcome(quick: bool) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let dram_pages = 256;
-    let mut table = Table::new(&[
-        "configuration",
-        "avg access cost (cy)",
-        "DRAM serve rate",
-        "migrations",
-    ]);
-    let all_pcm = run_policy(
-        PlacementPolicy::Rbla {
-            miss_threshold: u32::MAX,
-        },
-        1,
-        quick,
-    );
-    let lru = run_policy(PlacementPolicy::Lru, dram_pages, quick);
-    let rbla = run_policy(
-        PlacementPolicy::Rbla { miss_threshold: 2 },
-        dram_pages,
-        quick,
-    );
-    let all_dram = run_policy(PlacementPolicy::Lru, 4096, quick);
-    for (name, m) in [
-        ("all-PCM (no DRAM tier)", &all_pcm),
-        ("hybrid, LRU DRAM cache (1/16)", &lru),
-        ("hybrid, RBLA placement (1/16)", &rbla),
-        ("all-DRAM (upper bound)", &all_dram),
-    ] {
-        table.row(&[
-            name.to_owned(),
-            format!("{:.1}", m.avg_cost()),
-            pct(m.dram_serve_rate()),
-            m.migrations.to_string(),
-        ]);
-    }
-    format!(
-        "E14: hybrid DRAM+PCM memory, zipf working set over 16 MiB, DRAM tier 1 MiB\n\
-         (paper shape: hybrid recovers most of all-DRAM performance; RBLA needs fewer migrations)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let o = outcome(quick);
-    crate::report::ExperimentReport::new("exp14_hybrid_memory", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let o = outcome(ctx.quick);
+    ExperimentReport::new("exp14_hybrid_memory", ctx.quick)
         .metric("all_pcm_avg_cost", o.all_pcm)
         .metric("lru_avg_cost", o.lru)
         .metric("rbla_avg_cost", o.rbla)
@@ -138,6 +89,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn hybrid_beats_all_pcm() {
@@ -163,9 +115,11 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_configurations() {
-        let s = run(true);
-        assert!(s.contains("all-PCM"));
-        assert!(s.contains("RBLA"));
+    fn report_carries_every_configuration() {
+        let rep = report(&QUICK);
+        let get = |m: &str| rep.metric_value(m).expect("metric reported");
+        assert!(get("rbla_avg_cost") < get("all_pcm_avg_cost"));
+        assert!(get("lru_avg_cost") < get("all_pcm_avg_cost"));
+        assert!(get("rbla_migrations") < get("lru_migrations"));
     }
 }

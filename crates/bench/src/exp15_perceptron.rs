@@ -5,12 +5,11 @@
 //! long histories that saturating-counter tables cannot, winning on
 //! history-correlated behaviour.
 
-use ia_core::Table;
 use ia_learn::PerceptronPredictor;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// A classic bimodal (2-bit saturating counter) predictor baseline.
 #[derive(Debug, Clone)]
@@ -106,27 +105,14 @@ pub fn rows(quick: bool) -> Vec<(String, f64, f64)> {
         .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&["branch stream", "bimodal 2-bit", "perceptron"]);
-    for (name, bim, per) in rows(quick) {
-        table.row(&[name, pct(bim), pct(per)]);
-    }
-    format!(
-        "E15: perceptron vs counter-table prediction\n\
-         (paper shape: perceptrons win on history-correlated streams, tie elsewhere)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = rows(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = rows(ctx.quick);
     let n = data.len().max(1) as f64;
     let mean_bim = data.iter().map(|(_, b, _)| b).sum::<f64>() / n;
     let mean_per = data.iter().map(|(_, _, p)| p).sum::<f64>() / n;
-    let mut rep = crate::report::ExperimentReport::new("exp15_perceptron", quick)
+    let mut rep = ExperimentReport::new("exp15_perceptron", ctx.quick)
         .metric("mean_bimodal_accuracy", mean_bim)
         .metric("mean_perceptron_accuracy", mean_per)
         .columns(&["branch_stream", "bimodal_accuracy", "perceptron_accuracy"]);
@@ -139,6 +125,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn perceptron_wins_on_history_correlation() {
@@ -183,7 +170,26 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("perceptron"));
+    fn report_tabulates_every_stream_for_both_predictors() {
+        let rep = report(&QUICK);
+        assert_eq!(
+            rep.headers,
+            ["branch_stream", "bimodal_accuracy", "perceptron_accuracy"]
+        );
+        let streams: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(
+            streams,
+            [
+                "biased (90% taken)",
+                "short pattern (TTNTN)",
+                "history-correlated (XOR)",
+                "random"
+            ]
+        );
+        let mean_bim = rep.metric_value("mean_bimodal_accuracy").expect("reported");
+        let mean_per = rep
+            .metric_value("mean_perceptron_accuracy")
+            .expect("reported");
+        assert!(mean_per > mean_bim, "{mean_per} vs {mean_bim}");
     }
 }

@@ -6,13 +6,13 @@
 //! +data-centric → +data-driven → +data-aware on one mixed data-intensive
 //! workload.
 
-use ia_core::{run_ablation, AblationRow, SystemConfig, Table};
+use ia_core::{run_ablation, SystemConfig};
 use ia_workloads::{StreamGen, TraceGenerator, TraceRequest, ZipfGen};
 use ia_xmem::{AtomRegistry, Criticality, DataAttributes, Locality};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 // The hot structure is 4x the experiment's 64 KiB LLC: plain LRU
 // thrashes under the streaming pollution, giving the cache-policy
@@ -71,55 +71,23 @@ fn registry() -> AtomRegistry {
     reg
 }
 
-/// The ablation ladder's rows (memoized: `run`, `report`, and
-/// `speedups` share one simulation per process).
-fn rows(quick: bool) -> Vec<AblationRow> {
-    static CACHE: crate::report::OutcomeCache<Vec<AblationRow>> =
-        crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || {
-        let trace = workload(quick);
-        // lint: allow(P001, the ladder configs are static and the trace is non-empty)
-        run_ablation(&config(), &registry(), &trace).expect("ablation runs")
-    })
-}
-
 /// The ladder's speedups (baseline = 1.0).
 #[must_use]
-pub fn speedups(quick: bool) -> Vec<f64> {
-    rows(quick).into_iter().map(|r| r.speedup).collect()
+pub fn speedups(ctx: &RunContext) -> Vec<f64> {
+    let trace = workload(ctx.quick);
+    run_ablation(&config(), &registry(), &trace, ctx.threads)
+        // lint: allow(P001, the ladder configs are static and the trace is non-empty)
+        .expect("ablation runs")
+        .into_iter()
+        .map(|r| r.speedup)
+        .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let rows = rows(quick);
-    let mut table = Table::new(&[
-        "configuration",
-        "cycles",
-        "LLC hit rate",
-        "DRAM row-hit rate",
-        "speedup vs baseline",
-    ]);
-    for r in &rows {
-        table.row(&[
-            r.principles.to_string(),
-            r.report.cycles().to_string(),
-            pct(r.report.llc_hit_rate),
-            pct(r.report.memory.row_hit_rate),
-            format!("{:.3}x", r.speedup),
-        ]);
-    }
-    format!(
-        "E16: principle ablation on a mixed hot-structure + streaming workload\n\
-         (paper shape: each principle contributes; the full system is fastest or tied)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let s = speedups(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp16_ablation", quick)
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let s = speedups(ctx);
+    let mut rep = ExperimentReport::new("exp16_ablation", ctx.quick)
         .metric("baseline_speedup", s[0])
         .metric("data_centric_speedup", s[1])
         .metric("data_driven_speedup", s[2])
@@ -135,10 +103,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn full_system_is_fastest() {
-        let s = speedups(true);
+        let s = speedups(&QUICK);
         assert_eq!(s.len(), 4);
         assert!((s[0] - 1.0).abs() < 1e-12);
         let best = s.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -156,7 +125,7 @@ mod tests {
 
     #[test]
     fn every_rung_contributes() {
-        let s = speedups(true);
+        let s = speedups(&QUICK);
         // The workload is sized so each principle has headroom: AL-DRAM
         // accelerates the Zipf-scattered activations, DIP resists the
         // stream's pollution, and the data-aware hints protect the hot
@@ -182,9 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_ladder() {
-        let s = run(true);
-        assert!(s.contains("processor-centric baseline"));
-        assert!(s.contains("data-centric+data-driven+data-aware"));
+    fn report_climbs_the_whole_ladder() {
+        let rep = report(&QUICK);
+        let rungs: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(
+            rungs,
+            ["baseline", "+data-centric", "+data-driven", "+data-aware"]
+        );
+        assert_eq!(rep.metric_value("baseline_speedup"), Some(1.0));
+        assert!(rep.metric_value("full_system_speedup").is_some());
     }
 }

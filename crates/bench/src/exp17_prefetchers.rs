@@ -9,7 +9,6 @@
 //! irregular ones; the adaptive generations keep the coverage while
 //! recovering accuracy.
 
-use ia_core::Table;
 use ia_prefetch::{
     FeedbackDirected, GhbPrefetcher, NextLinePrefetcher, PerceptronFilter, PrefetchHarness,
     PrefetchMetrics, Prefetcher, StridePrefetcher,
@@ -18,7 +17,7 @@ use ia_workloads::{PointerChaseGen, StreamGen, TraceGenerator, ZipfGen};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 fn prefetchers() -> Vec<Box<dyn Prefetcher>> {
     vec![
@@ -74,26 +73,20 @@ fn workloads(quick: bool) -> Vec<(&'static str, Vec<u64>)> {
 /// metrics.
 type MatrixRow = (String, Vec<(String, PrefetchMetrics)>);
 
-/// Metrics per (workload, prefetcher) cell (memoized: `run` and
-/// `report` share one simulation per process).
+/// Metrics per (workload, prefetcher) cell.
 #[must_use]
-pub fn matrix(quick: bool) -> Vec<MatrixRow> {
-    static CACHE: crate::report::OutcomeCache<Vec<MatrixRow>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_matrix(quick))
-}
-
-fn compute_matrix(quick: bool) -> Vec<MatrixRow> {
+pub fn matrix(ctx: &RunContext) -> Vec<MatrixRow> {
     // Trace generation shares one RNG stream and stays serial; the 4×5
     // (workload, prefetcher) harness runs are independent, so flatten
     // the grid into tasks for the worker pool. `par_map` preserves the
     // row-major task order, so the reassembled matrix is identical to
     // the nested serial loops.
-    let workloads = workloads(quick);
+    let workloads = workloads(ctx.quick);
     let lanes = prefetchers().len();
     let tasks: Vec<(usize, usize)> = (0..workloads.len())
         .flat_map(|wi| (0..lanes).map(move |pi| (wi, pi)))
         .collect();
-    let cells = ia_par::par_map(ia_par::auto_threads(), tasks, |(wi, pi)| {
+    let cells = ia_par::par_map(ctx.threads, tasks, |(wi, pi)| {
         let p = prefetchers().swap_remove(pi);
         let name = p.name().to_owned();
         let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p)
@@ -111,38 +104,10 @@ fn compute_matrix(quick: bool) -> Vec<MatrixRow> {
         .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "workload",
-        "prefetcher",
-        "coverage",
-        "accuracy",
-        "issued/kdemand",
-    ]);
-    for (wname, cells) in matrix(quick) {
-        for (pname, m) in cells {
-            table.row(&[
-                wname.clone(),
-                pname,
-                pct(m.coverage()),
-                pct(m.accuracy()),
-                format!("{:.0}", m.issued as f64 / m.demands as f64 * 1000.0),
-            ]);
-        }
-    }
-    format!(
-        "E17: prefetcher lineage across workload classes\n\
-         (paper shape: heuristics cover streams but pollute on irregular traffic;\n\
-          feedback/learning recover accuracy by throttling or filtering)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp17_prefetchers", quick).columns(&[
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let mut rep = ExperimentReport::new("exp17_prefetchers", ctx.quick).columns(&[
         "workload",
         "prefetcher",
         "coverage",
@@ -150,7 +115,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
         "issued",
     ]);
     let mut best_coverage = 0.0f64;
-    for (workload, cells) in matrix(quick) {
+    for (workload, cells) in matrix(ctx) {
         for (prefetcher, m) in cells {
             best_coverage = best_coverage.max(m.coverage());
             rep = rep.row(&[
@@ -168,6 +133,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     fn cell(m: &[(String, Vec<(String, PrefetchMetrics)>)], w: &str, p: &str) -> PrefetchMetrics {
         m.iter()
@@ -182,7 +148,7 @@ mod tests {
 
     #[test]
     fn stride_covers_regular_streams() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         assert!(cell(&m, "stream", "stride").coverage() > 0.7);
         assert!(cell(&m, "strided", "stride").coverage() > 0.7);
         assert!(cell(&m, "stream", "GHB").coverage() > 0.5);
@@ -190,7 +156,7 @@ mod tests {
 
     #[test]
     fn nothing_covers_pointer_chasing() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         for p in ["next-line", "stride", "GHB"] {
             assert!(
                 cell(&m, "pointer-chase", p).coverage() < 0.1,
@@ -201,7 +167,7 @@ mod tests {
 
     #[test]
     fn feedback_throttles_where_accuracy_dies() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         let naive = cell(&m, "pointer-chase", "stride");
         let fd = cell(&m, "pointer-chase", "feedback");
         let naive_rate = naive.issued as f64 / naive.demands.max(1) as f64;
@@ -213,9 +179,13 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        let s = run(true);
-        assert!(s.contains("stride"));
-        assert!(s.contains("pointer-chase"));
+    fn report_crosses_every_workload_with_every_prefetcher() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.rows.len(), 4 * 5);
+        for w in ["stream", "strided", "zipf", "pointer-chase"] {
+            assert_eq!(rep.rows.iter().filter(|r| r[0] == w).count(), 5, "{w}");
+        }
+        assert!(rep.rows.iter().any(|r| r[1].contains("stride")));
+        assert!(rep.metric_value("best_coverage").is_some_and(|c| c > 0.7));
     }
 }

@@ -6,22 +6,16 @@
 //! the buffered mesh's latency while eliminating its dominant area/power
 //! cost; the price is deflections and earlier saturation at high load.
 
-use ia_core::Table;
 use ia_noc::{simulate, simulate_traced, MeshConfig, NocReport, RouterKind, Traffic};
 
-/// Latency-vs-load series for both routers (memoized: `run` and
-/// `report` share one simulation per process).
-#[must_use]
-pub fn sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
-    static CACHE: crate::report::OutcomeCache<Vec<(f64, NocReport, NocReport)>> =
-        crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_sweep(quick))
-}
+use crate::report::{ExperimentReport, RunContext};
 
-fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
+/// Latency-vs-load series for both routers.
+#[must_use]
+pub fn sweep(ctx: &RunContext) -> Vec<(f64, NocReport, NocReport)> {
     // lint: allow(P001, 8x8 are compile-time dims MeshConfig::new accepts)
     let mesh = MeshConfig::new(8, 8).expect("valid mesh");
-    let cycles = if quick { 2_000 } else { 20_000 };
+    let cycles = if ctx.quick { 2_000 } else { 20_000 };
     let rates = [0.02f64, 0.05, 0.10, 0.20, 0.30];
     // 5 rates × 2 router kinds = 10 independent simulations, each with
     // its own seeded RNG inside `simulate`; fan them out and zip the
@@ -40,7 +34,7 @@ fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
             ]
         })
         .collect();
-    let runs = ia_par::par_map(ia_par::auto_threads(), tasks, |(rate, kind)| {
+    let runs = ia_par::par_map(ctx.threads, tasks, |(rate, kind)| {
         if tracing {
             let (report, log) =
                 simulate_traced(kind, mesh, Traffic::UniformRandom, rate, cycles, 11)
@@ -74,37 +68,11 @@ fn compute_sweep(quick: bool) -> Vec<(f64, NocReport, NocReport)> {
         .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "inj. rate",
-        "buffered lat (cy)",
-        "bufferless lat (cy)",
-        "deflections/pkt",
-        "peak buffers (buffered)",
-    ]);
-    for (rate, b, d) in sweep(quick) {
-        table.row(&[
-            format!("{rate:.2}"),
-            format!("{:.1}", b.avg_latency),
-            format!("{:.1}", d.avg_latency),
-            format!("{:.2}", d.deflections as f64 / d.delivered.max(1) as f64),
-            b.peak_buffering.to_string(),
-        ]);
-    }
-    format!(
-        "E18: 8x8 mesh, uniform-random traffic — buffered XY vs bufferless deflection\n\
-         (paper shape: near-identical latency at low-to-medium load with zero buffers;\n\
-          deflections grow as the bufferless network approaches saturation)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp18_noc", quick).columns(&[
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = sweep(ctx);
+    let mut rep = ExperimentReport::new("exp18_noc", ctx.quick).columns(&[
         "injection_rate",
         "buffered_latency",
         "bufferless_latency",
@@ -134,10 +102,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn bufferless_is_competitive_at_low_load() {
-        let s = sweep(true);
+        let s = sweep(&QUICK);
         let (_, b, d) = &s[0];
         assert!(
             d.avg_latency < b.avg_latency + 3.0,
@@ -149,7 +118,7 @@ mod tests {
 
     #[test]
     fn deflections_grow_with_load() {
-        let s = sweep(true);
+        let s = sweep(&QUICK);
         let low = s[0].2.deflections as f64 / s[0].2.delivered.max(1) as f64;
         let high = s.last().expect("non-empty").2.deflections as f64
             / s.last().expect("non-empty").2.delivered.max(1) as f64;
@@ -161,14 +130,16 @@ mod tests {
 
     #[test]
     fn buffered_queues_grow_with_load() {
-        let s = sweep(true);
+        let s = sweep(&QUICK);
         assert!(s.last().expect("non-empty").1.peak_buffering > s[0].1.peak_buffering);
     }
 
     #[test]
-    fn report_renders() {
-        let out = run(true);
-        assert!(out.contains("deflections"));
-        assert!(out.contains("0.02"));
+    fn report_tabulates_every_injection_rate() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[3], "deflections_per_packet");
+        let rates: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(rates, ["0.02", "0.05", "0.10", "0.20", "0.30"]);
+        assert!(rep.metric_value("peak_bufferless_latency").is_some());
     }
 }

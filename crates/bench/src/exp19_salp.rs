@@ -6,12 +6,11 @@
 //! paper reports ~13-17% average speedup, approaching ideal
 //! one-subarray-per-bank behaviour on conflict-heavy streams.
 
-use ia_core::Table;
 use ia_dram::{serve_stream, BankOrganization, DramConfig, SalpBank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Per-workload cycle counts `(name, conventional, salp)`.
 #[must_use]
@@ -55,40 +54,16 @@ pub fn rows(quick: bool) -> Vec<(String, u64, u64)> {
     .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "row stream",
-        "conventional (cy)",
-        "SALP/MASA (cy)",
-        "speedup",
-    ]);
-    for (name, conv, salp) in rows(quick) {
-        table.row(&[
-            name,
-            conv.to_string(),
-            salp.to_string(),
-            ratio(conv as f64, salp as f64),
-        ]);
-    }
-    format!(
-        "E19: subarray-level parallelism within one bank\n\
-         (paper shape: inter-subarray conflicts overlap — large gains on ping-pong streams,\n\
-          none on hits or intra-subarray conflicts)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let mut rep = crate::report::ExperimentReport::new("exp19_salp", quick).columns(&[
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let mut rep = ExperimentReport::new("exp19_salp", ctx.quick).columns(&[
         "row_stream",
         "conventional_cycles",
         "salp_cycles",
         "speedup",
     ]);
-    for (name, conv, salp) in rows(quick) {
+    for (name, conv, salp) in rows(ctx.quick) {
         let key = name.to_lowercase().replace([' ', '-'], "_");
         let speedup = conv as f64 / salp.max(1) as f64;
         rep = rep.metric(&format!("{key}_speedup"), speedup).row(&[
@@ -104,6 +79,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     fn get(rows: &[(String, u64, u64)], name: &str) -> (u64, u64) {
         let r = rows
@@ -149,7 +125,13 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("SALP"));
+    fn report_carries_a_speedup_per_stream() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[2], "salp_cycles");
+        assert_eq!(rep.rows.len(), 5);
+        assert_eq!(rep.metric_value("single_row_(all_hits)_speedup"), Some(1.0));
+        assert!(rep
+            .metric_value("2_subarray_ping_pong_speedup")
+            .is_some_and(|s| s > 1.0));
     }
 }

@@ -7,75 +7,38 @@
 //! collapses; per-layer interval selection stays within an accuracy
 //! budget.
 
-use ia_core::Table;
-use ia_reliability::{
-    dnn_accuracy_loss, select_multiplier, sweep_refresh_multipliers, RetentionModel,
-};
+use ia_reliability::{dnn_accuracy_loss, sweep_refresh_multipliers, RetentionModel};
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Sweep rows `(multiplier, savings, row error rate, robust-layer loss,
 /// sensitive-layer loss)`.
 #[must_use]
-pub fn sweep() -> Vec<(u32, f64, f64, f64, f64)> {
+pub fn sweep(threads: usize) -> Vec<(u32, f64, f64, f64, f64)> {
     let model = RetentionModel::typical();
     // Each refresh-interval point is an independent evaluation of the
     // retention model; fan the grid out on the worker pool.
-    ia_par::par_map(
-        ia_par::auto_threads(),
-        vec![1u32, 2, 4, 8, 16, 32],
-        |multiplier| {
-            let p = sweep_refresh_multipliers(&model, &[multiplier])
-                .pop()
-                // lint: allow(P001, the sweep returns exactly one point per multiplier)
-                .expect("one point per multiplier");
-            (
-                p.multiplier,
-                p.refresh_savings,
-                p.row_error_rate,
-                dnn_accuracy_loss(p.row_error_rate, 0.05),
-                dnn_accuracy_loss(p.row_error_rate, 1e-5),
-            )
-        },
-    )
+    ia_par::par_map(threads, vec![1u32, 2, 4, 8, 16, 32], |multiplier| {
+        let p = sweep_refresh_multipliers(&model, &[multiplier])
+            .pop()
+            // lint: allow(P001, the sweep returns exactly one point per multiplier)
+            .expect("one point per multiplier");
+        (
+            p.multiplier,
+            p.refresh_savings,
+            p.row_error_rate,
+            dnn_accuracy_loss(p.row_error_rate, 0.05),
+            dnn_accuracy_loss(p.row_error_rate, 1e-5),
+        )
+    })
 }
 
-/// Runs the experiment and renders the tables.
+/// The experiment's report (the sweep is the same size in both modes).
 #[must_use]
-pub fn run(_quick: bool) -> String {
-    let mut table = Table::new(&[
-        "refresh interval",
-        "refresh savings",
-        "row error exposure",
-        "robust layer acc. loss",
-        "sensitive layer acc. loss",
-    ]);
-    for (m, savings, err, robust, sensitive) in sweep() {
-        table.row(&[
-            format!("{}x (={} ms)", m, 64 * m),
-            pct(savings),
-            format!("{err:.2e}"),
-            pct(robust),
-            pct(sensitive),
-        ]);
-    }
-    let model = RetentionModel::typical();
-    let robust_pick = select_multiplier(&model, 0.05, 0.01);
-    let sensitive_pick = select_multiplier(&model, 1e-5, 0.01);
-    format!(
-        "E20: EDEN-style approximate DRAM for error-tolerant (DNN) data\n\
-         (paper shape: large refresh savings at negligible accuracy loss below the\n\
-          robustness knee; per-layer interval selection)\n{table}\n\
-         selected intervals at 1% accuracy budget: robust layer {robust_pick}x, sensitive layer {sensitive_pick}x\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep();
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = sweep(ctx.threads);
     let max_savings = data.iter().fold(0.0f64, |a, &(_, s, ..)| a.max(s));
-    let mut rep = crate::report::ExperimentReport::new("exp20_eden", quick)
+    let mut rep = ExperimentReport::new("exp20_eden", ctx.quick)
         .metric("max_refresh_savings", max_savings)
         .columns(&[
             "interval_multiplier",
@@ -99,10 +62,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn robust_layers_save_most_refreshes_for_free() {
-        let s = sweep();
+        let s = sweep(2);
         let at16 = s.iter().find(|r| r.0 == 16).expect("16x present");
         assert!(at16.1 > 0.9, "16x interval saves >90% of refreshes");
         assert!(
@@ -114,7 +78,7 @@ mod tests {
 
     #[test]
     fn sensitive_layers_degrade_past_nominal() {
-        let s = sweep();
+        let s = sweep(2);
         let at8 = s.iter().find(|r| r.0 == 8).expect("8x present");
         assert!(
             at8.4 > at8.3,
@@ -124,15 +88,20 @@ mod tests {
 
     #[test]
     fn selection_separates_the_layers() {
+        use ia_reliability::select_multiplier;
         let model = RetentionModel::typical();
         assert!(select_multiplier(&model, 0.05, 0.01) >= 8);
         assert!(select_multiplier(&model, 1e-5, 0.01) <= 2);
     }
 
     #[test]
-    fn report_renders() {
-        let s = run(true);
-        assert!(s.contains("refresh savings"));
-        assert!(s.contains("selected intervals"));
+    fn report_tabulates_every_refresh_interval() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[1], "refresh_savings");
+        let multipliers: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(multipliers, ["1", "2", "4", "8", "16", "32"]);
+        assert!(rep
+            .metric_value("max_refresh_savings")
+            .is_some_and(|s| s > 0.9));
     }
 }

@@ -6,80 +6,40 @@
 //! energy savings on low-utilization epochs at a bounded (few percent)
 //! performance cost, vanishing as utilization rises.
 
-use ia_core::Table;
-use ia_memctrl::{epoch_outcome, standard_points, MemScaleGovernor};
+use ia_memctrl::{standard_points, MemScaleGovernor};
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Sweep rows `(avg utilization, energy vs full-speed, slowdown)`.
 #[must_use]
-pub fn sweep(quick: bool) -> Vec<(f64, f64, f64)> {
-    let epochs = if quick { 100 } else { 2000 };
+pub fn sweep(ctx: &RunContext) -> Vec<(f64, f64, f64)> {
+    let epochs = if ctx.quick { 100 } else { 2000 };
     // Each utilization level owns its trace and governor — independent
     // tasks for the worker pool, returned in grid order.
-    ia_par::par_map(
-        ia_par::auto_threads(),
-        vec![0.05f64, 0.15, 0.30, 0.50, 0.95],
-        |base| {
-            // Bursty trace around the base utilization.
-            let trace: Vec<f64> = (0..epochs)
-                .map(|i| {
-                    if i % 10 == 0 {
-                        (base * 2.5).min(0.95)
-                    } else {
-                        base * 0.8
-                    }
-                })
-                .collect();
-            let mut g =
-                MemScaleGovernor::new(standard_points().to_vec(), 0.10).expect("valid governor");
-            let o = g.run(&trace).expect("trace runs");
-            (base, o.energy, o.slowdown)
-        },
-    )
+    ia_par::par_map(ctx.threads, vec![0.05f64, 0.15, 0.30, 0.50, 0.95], |base| {
+        // Bursty trace around the base utilization.
+        let trace: Vec<f64> = (0..epochs)
+            .map(|i| {
+                if i % 10 == 0 {
+                    (base * 2.5).min(0.95)
+                } else {
+                    base * 0.8
+                }
+            })
+            .collect();
+        let mut g =
+            MemScaleGovernor::new(standard_points().to_vec(), 0.10).expect("valid governor");
+        let o = g.run(&trace).expect("trace runs");
+        (base, o.energy, o.slowdown)
+    })
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "avg utilization",
-        "memory energy (vs full speed)",
-        "slowdown",
-        "energy saved",
-    ]);
-    for (u, energy, slowdown) in sweep(quick) {
-        table.row(&[
-            pct(u),
-            format!("{energy:.2}"),
-            format!("{slowdown:.3}"),
-            pct(1.0 - energy),
-        ]);
-    }
-    // Illustrate the static points the governor chooses among.
-    let mut pts = Table::new(&["operating point", "speed", "power", "slowdown @ 20% util"]);
-    for p in standard_points() {
-        let o = epoch_outcome(0.2, p).expect("valid point");
-        pts.row(&[
-            format!("{:.0}% clock", p.speed * 100.0),
-            format!("{:.2}", p.speed),
-            format!("{:.2}", p.power),
-            format!("{:.3}", o.slowdown),
-        ]);
-    }
-    format!(
-        "E21: memory DVFS (MemScale) with a 10% slowdown budget\n\
-         (paper shape: tens-of-percent memory energy savings at low utilization,\n\
-          shrinking to zero as the channel fills)\n{table}\n\n{pts}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = sweep(ctx);
     let best_saving = data.iter().fold(0.0f64, |a, &(_, e, _)| a.max(1.0 - e));
-    let mut rep = crate::report::ExperimentReport::new("exp21_memscale", quick)
+    let mut rep = ExperimentReport::new("exp21_memscale", ctx.quick)
         .metric("best_energy_saving", best_saving)
         .columns(&["avg_utilization", "memory_energy_vs_full", "slowdown"]);
     for (util, energy, slowdown) in &data {
@@ -95,10 +55,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn savings_shrink_with_utilization() {
-        let s = sweep(true);
+        let s = sweep(&QUICK);
         for w in s.windows(2) {
             assert!(
                 w[1].1 >= w[0].1 - 1e-9,
@@ -115,7 +76,7 @@ mod tests {
 
     #[test]
     fn slowdown_budget_is_respected_everywhere() {
-        for (u, _, slowdown) in sweep(true) {
+        for (u, _, slowdown) in sweep(&QUICK) {
             assert!(
                 slowdown <= 1.10 + 1e-9,
                 "budget violated at {u}: {slowdown}"
@@ -124,9 +85,12 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        let s = run(true);
-        assert!(s.contains("energy saved"));
-        assert!(s.contains("operating point"));
+    fn report_tabulates_energy_per_utilization() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[1], "memory_energy_vs_full");
+        assert_eq!(rep.rows.len(), 5);
+        assert!(rep
+            .metric_value("best_energy_saving")
+            .is_some_and(|s| s > 0.5));
     }
 }

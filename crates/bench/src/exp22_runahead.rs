@@ -6,15 +6,14 @@
 //! with the runahead window, collapsing to nothing on dependent
 //! (pointer-chasing) chains — the gap PIM exists to fill.
 
-use ia_core::Table;
 use ia_prefetch::runahead::{build_trace, execute, CoreModel};
 
-use crate::ratio;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Matrix rows `(dependence ‰, window, stall cycles, runahead cycles)`.
 #[must_use]
-pub fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
-    let loads = if quick { 500 } else { 5000 };
+pub fn matrix(ctx: &RunContext) -> Vec<(u32, usize, u64, u64)> {
+    let loads = if ctx.quick { 500 } else { 5000 };
     // The 3×3 (dependence, window) grid: every cell builds its own
     // trace and runs two core models — independent tasks for the
     // worker pool, returned in row-major grid order.
@@ -22,7 +21,7 @@ pub fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
         .into_iter()
         .flat_map(|dep| [16usize, 64, 256].into_iter().map(move |w| (dep, w)))
         .collect();
-    ia_par::par_map(ia_par::auto_threads(), grid, |(dep, window)| {
+    ia_par::par_map(ctx.threads, grid, |(dep, window)| {
         let trace = build_trace(loads, 5, dep);
         let stall = execute(
             &trace,
@@ -42,40 +41,14 @@ pub fn matrix(quick: bool) -> Vec<(u32, usize, u64, u64)> {
     })
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let mut table = Table::new(&[
-        "dependent loads",
-        "runahead window",
-        "stall-on-miss (kcy)",
-        "runahead (kcy)",
-        "speedup",
-    ]);
-    for (dep, window, stall, ra) in matrix(quick) {
-        table.row(&[
-            format!("{:.0}%", f64::from(dep) / 10.0),
-            window.to_string(),
-            format!("{:.0}", stall as f64 / 1000.0),
-            format!("{:.0}", ra as f64 / 1000.0),
-            ratio(stall as f64, ra as f64),
-        ]);
-    }
-    format!(
-        "E22: runahead execution vs stall-on-miss\n\
-         (paper shape: big wins on independent misses, growing with the window;\n\
-          zero on fully dependent chains — which is where PIM takes over)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = matrix(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = matrix(ctx);
     let max_speedup = data.iter().fold(0.0f64, |a, &(_, _, stall, ra)| {
         a.max(stall as f64 / ra.max(1) as f64)
     });
-    let mut rep = crate::report::ExperimentReport::new("exp22_runahead", quick)
+    let mut rep = ExperimentReport::new("exp22_runahead", ctx.quick)
         .metric("max_speedup", max_speedup)
         .columns(&[
             "dependent_load_permille",
@@ -99,10 +72,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn independent_misses_speed_up_with_window() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         let at = |dep: u32, w: usize| {
             m.iter()
                 .find(|r| r.0 == dep && r.1 == w)
@@ -119,7 +93,7 @@ mod tests {
 
     #[test]
     fn dependent_chains_gain_nothing() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         for r in m.iter().filter(|r| r.0 == 1000) {
             assert_eq!(r.2, r.3, "fully dependent chain must not speed up");
         }
@@ -127,7 +101,7 @@ mod tests {
 
     #[test]
     fn half_dependent_sits_between() {
-        let m = matrix(true);
+        let m = matrix(&QUICK);
         let s = |dep: u32| {
             m.iter()
                 .find(|r| r.0 == dep && r.1 == 64)
@@ -139,7 +113,17 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("runahead window"));
+    fn report_tabulates_the_dependence_window_grid() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[1], "runahead_window");
+        let cells: Vec<(&str, &str)> = rep
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[1].as_str()))
+            .collect();
+        assert_eq!(cells.len(), 9);
+        assert_eq!(cells[0], ("0", "16"));
+        assert_eq!(cells[8], ("1000", "256"));
+        assert!(rep.metric_value("max_speedup").is_some_and(|s| s > 3.0));
     }
 }

@@ -5,11 +5,10 @@
 //! channel. Expected shape: traffic/energy reduction approaching the
 //! stride factor for large strides, nothing for dense access.
 
-use ia_core::Table;
 use ia_dram::DramConfig;
-use ia_pum::{conventional_gather, gather_elements, gs_dram_gather};
+use ia_pum::{conventional_gather, gs_dram_gather};
 
-use crate::{pct, ratio};
+use crate::report::{ExperimentReport, RunContext};
 
 /// Sweep rows `(stride, conventional bytes, gs bytes, traffic cut,
 /// energy cut)`.
@@ -33,46 +32,12 @@ pub fn sweep(quick: bool) -> Vec<(u64, u64, u64, f64, f64)> {
         .collect()
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    // Functional sanity: the hardware paths compute the same gather.
-    let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
-    let gathered = gather_elements(&data, 64, 8, 64).expect("valid gather");
-    assert_eq!(gathered.len(), 512);
-
-    let mut table = Table::new(&[
-        "stride (8B elements)",
-        "conventional MB moved",
-        "GS-DRAM MB moved",
-        "traffic cut",
-        "channel efficiency (conv -> GS)",
-    ]);
-    let cfg = DramConfig::ddr3_1600();
-    let elements = if quick { 10_000 } else { 100_000 };
-    for (stride, conv_b, gs_b, cut, _energy) in sweep(quick) {
-        let conv = conventional_gather(&cfg, elements, 8, stride).expect("valid");
-        let gs = gs_dram_gather(&cfg, elements, 8, stride).expect("valid");
-        table.row(&[
-            format!("{stride} B"),
-            format!("{:.2}", conv_b as f64 / 1e6),
-            format!("{:.2}", gs_b as f64 / 1e6),
-            ratio(cut, 1.0),
-            format!("{} -> {}", pct(conv.efficiency()), pct(gs.efficiency())),
-        ]);
-    }
-    format!(
-        "E23: Gather-Scatter DRAM on strided (array-of-structs field) access\n\
-         (paper shape: traffic and I/O energy cut approaching the stride factor)\n{table}\n"
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let data = sweep(quick);
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let data = sweep(ctx.quick);
     let max_cut = data.iter().fold(0.0f64, |a, &(_, _, _, cut, _)| a.max(cut));
-    let mut rep = crate::report::ExperimentReport::new("exp23_gsdram", quick)
+    let mut rep = ExperimentReport::new("exp23_gsdram", ctx.quick)
         .metric("max_traffic_cut", max_cut)
         .columns(&[
             "stride",
@@ -96,6 +61,7 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn traffic_cut_tracks_the_stride() {
@@ -123,7 +89,18 @@ mod tests {
     }
 
     #[test]
-    fn report_renders() {
-        assert!(run(true).contains("traffic cut"));
+    fn gather_extracts_one_element_per_stride() {
+        let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        let gathered = ia_pum::gather_elements(&data, 64, 8, 64).expect("valid gather");
+        assert_eq!(gathered.len(), 512);
+    }
+
+    #[test]
+    fn report_tabulates_every_stride() {
+        let rep = report(&QUICK);
+        assert_eq!(rep.headers[3], "traffic_cut");
+        let strides: Vec<&str> = rep.rows.iter().map(|r| r[0].as_str()).collect();
+        assert_eq!(strides, ["8", "16", "32", "64", "128", "256"]);
+        assert!(rep.metric_value("max_traffic_cut").is_some_and(|c| c > 5.0));
     }
 }

@@ -24,17 +24,16 @@
 //! sweep fans out on `ia-par` and the report is byte-identical at every
 //! `--threads` setting.
 
-use ia_core::Table;
 use ia_dram::{AddressMapping, DramConfig, Location};
 use ia_faults::FaultPlan;
 use ia_memctrl::{
     run_closed_loop_with, Fcfs, MemRequest, MemoryController, Mitigation, RefreshMode,
     ReliabilityConfig, ReliabilityPipeline,
 };
-use ia_par::{auto_threads, par_map};
+use ia_par::par_map;
 use ia_sim::SnapshotState;
 
-use crate::pct;
+use crate::report::{ExperimentReport, RunContext};
 
 /// Aggressor rows (bank 0): double-sided hammer around the victim.
 const AGGRESSOR_LOW: u64 = 1000;
@@ -190,15 +189,9 @@ fn cell(
 
 /// Runs the full sweep. Cells are independent simulations; `par_map`
 /// returns them in input order, so results — and any submitted traces —
-/// are identical at any thread count. Memoized: `run` and `report`
-/// share one sweep per process.
+/// are identical at any thread count.
 #[must_use]
-pub fn cells(quick: bool) -> Vec<Cell> {
-    static CACHE: crate::report::OutcomeCache<Vec<Cell>> = crate::report::OutcomeCache::new();
-    CACHE.get_or_compute(quick, || compute_cells(quick))
-}
-
-fn compute_cells(quick: bool) -> Vec<Cell> {
+pub fn cells(ctx: &RunContext) -> Vec<Cell> {
     // Warm-fork: the DRAM config, the workload trace, and the base
     // controller (scheduler + refresh mode) are identical across every
     // cell — build and decode them once, snapshot the warm controller,
@@ -212,14 +205,14 @@ fn compute_cells(quick: bool) -> Vec<Cell> {
         .with_refresh_mode(RefreshMode::AllBank);
     // Routed through the record/replay session so `--record-trace` /
     // `--replay-trace` cover the fault-injection workload too.
-    let shared_trace = crate::replay::intercept(0xE24, || vec![trace(&config, quick)]);
-    let jobs: Vec<(usize, f64, Mitigation, MemoryController)> = rates(quick)
+    let shared_trace = crate::replay::intercept(0xE24, || vec![trace(&config, ctx.quick)]);
+    let jobs: Vec<(usize, f64, Mitigation, MemoryController)> = rates(ctx.quick)
         .iter()
         .enumerate()
         .flat_map(|(i, &r)| TIERS.iter().map(move |&m| (i, r, m)))
         .map(|(i, r, m)| (i, r, m, base.fork()))
         .collect();
-    let runs = par_map(auto_threads(), jobs, |(i, r, m, ctrl)| {
+    let runs = par_map(ctx.threads, jobs, |(i, r, m, ctrl)| {
         cell(ctrl, &config, &shared_trace, r, i, m)
     });
     runs.into_iter()
@@ -263,55 +256,12 @@ pub fn outcome(cells: &[Cell]) -> Outcome {
     }
 }
 
-/// Runs the experiment and renders the table.
+/// The experiment's report.
 #[must_use]
-pub fn run(quick: bool) -> String {
-    let cells = cells(quick);
-    let mut table = Table::new(&[
-        "fault rate",
-        "mitigation",
-        "injected",
-        "corrected",
-        "uncorrected",
-        "uncorrected rate",
-        "remaps",
-        "quarantines",
-    ]);
-    for c in &cells {
-        table.row(&[
-            format!("{:.0}x", c.rate),
-            c.mitigation.label().to_owned(),
-            c.injected.to_string(),
-            c.corrected.to_string(),
-            c.uncorrected.to_string(),
-            pct(c.uncorrected_rate),
-            c.remaps.to_string(),
-            c.quarantines.to_string(),
-        ]);
-    }
-    let o = outcome(&cells);
-    format!(
-        "E24: fault injection vs. the mitigation ladder (retention + RowHammer + transients)\n\
-         (paper shape: intelligent mitigation holds uncorrected reads near zero where the\n\
-         unprotected baseline collapses)\n{table}\n\
-         headline: at the highest fault rate, ecc+remap+quarantine delivers {} uncorrected reads\n\
-         vs {} unprotected — {}\n",
-        pct(o.mitigated_rate),
-        pct(o.baseline_rate),
-        if o.mitigated_rate > 0.0 {
-            format!("a {:.0}x reduction", o.baseline_rate / o.mitigated_rate)
-        } else {
-            "every uncorrected read eliminated".to_string()
-        },
-    )
-}
-
-/// Machine-readable report of the same run.
-#[must_use]
-pub fn report(quick: bool) -> crate::report::ExperimentReport {
-    let cells = cells(quick);
-    let mut rep = crate::report::ExperimentReport::new("exp24_fault_injection", quick)
-        .param("rates", format!("{:?}", rates(quick)))
+pub fn report(ctx: &RunContext) -> ExperimentReport {
+    let cells = cells(ctx);
+    let mut rep = ExperimentReport::new("exp24_fault_injection", ctx.quick)
+        .param("rates", format!("{:?}", rates(ctx.quick)))
         .param("hammer_threshold", HAMMER_THRESHOLD)
         .param("quarantine_threshold", QUARANTINE_THRESHOLD)
         .columns(&[
@@ -362,10 +312,11 @@ pub fn report(quick: bool) -> crate::report::ExperimentReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::QUICK;
 
     #[test]
     fn intelligent_mitigation_beats_baseline_by_10x() {
-        let o = outcome(&cells(true));
+        let o = outcome(&cells(&QUICK));
         assert!(
             o.baseline_rate > 0.01,
             "unprotected baseline should visibly collapse, got {:.4}",
@@ -381,7 +332,7 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone_at_the_highest_rate() {
-        let cells = cells(true);
+        let cells = cells(&QUICK);
         let max_rate = cells.iter().map(|c| c.rate).fold(0.0, f64::max);
         let at = |m: Mitigation| {
             cells
@@ -396,7 +347,7 @@ mod tests {
 
     #[test]
     fn full_tier_actually_degrades_gracefully() {
-        let cells = cells(true);
+        let cells = cells(&QUICK);
         let full: Vec<&Cell> = cells
             .iter()
             .filter(|c| c.mitigation == Mitigation::Full)
@@ -413,11 +364,11 @@ mod tests {
 
     #[test]
     fn report_carries_the_ladder() {
-        let rep = report(true);
+        let rep = report(&QUICK);
         assert!(rep.metric_value("baseline_uncorrected_rate").is_some());
         assert!(rep.metric_value("mitigated_uncorrected_rate").is_some());
         assert_eq!(rep.rows.len(), rates(true).len() * TIERS.len());
-        let s = run(true);
-        assert!(s.contains("ecc+remap+quarantine"));
+        let tiers: Vec<&str> = rep.rows.iter().map(|r| r[1].as_str()).collect();
+        assert_eq!(tiers[..3], ["none", "ecc-only", "ecc+remap+quarantine"]);
     }
 }

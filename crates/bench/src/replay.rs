@@ -146,52 +146,3 @@ pub fn finish_record(path: &str) -> Result<(), TraceError> {
     }
     w.write_to_path(path)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    // One test owns the global session (tests run in parallel threads
-    // within one process), so the whole lifecycle is exercised here.
-    #[test]
-    fn record_then_replay_round_trips_segments_in_order() {
-        let dir = std::env::temp_dir().join("ia_bench_replay_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("session.trace");
-        let path = path.to_str().unwrap();
-
-        let seg_a = vec![
-            vec![MemRequest::read(0x1000, 0), MemRequest::write(0x1040, 0)],
-            vec![MemRequest::read(0x2000, 1)],
-        ];
-        let seg_b = vec![vec![MemRequest::write(0x4000, 0)]];
-
-        // Off: intercept is pass-through.
-        assert_eq!(intercept(1, || seg_a.clone()), seg_a);
-
-        start_record();
-        assert_eq!(intercept(0xAA, || seg_a.clone()), seg_a);
-        assert_eq!(intercept(0xBB, || seg_b.clone()), seg_b);
-        finish_record(path).unwrap();
-
-        let reader = TraceReader::from_path(path).unwrap();
-        assert_eq!(reader.seed(), 0xAA, "header carries the first seed");
-
-        start_replay(path).unwrap();
-        assert_eq!(
-            ia_memctrl::replay_context().and_then(|c| c.trace_path),
-            Some(path.to_owned())
-        );
-        // Replay ignores the generator entirely.
-        assert_eq!(intercept(0xAA, || unreachable!()), seg_a);
-        assert_eq!(intercept(0xBB, || unreachable!()), seg_b);
-        // Exhausted: falls back to generating.
-        assert_eq!(intercept(0xCC, || seg_b.clone()), seg_b);
-
-        // Disarm and clean up the global state for other tests.
-        MODE.store(OFF, Ordering::Release);
-        *state() = State::empty();
-        ia_memctrl::clear_replay_context();
-        std::fs::remove_file(path).unwrap();
-    }
-}

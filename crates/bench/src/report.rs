@@ -1,8 +1,12 @@
 //! Machine-readable experiment reports and the shared CLI runner.
 //!
-//! Every experiment module exposes `report(quick) -> ExperimentReport`
-//! next to its human-facing `run(quick) -> String`. The `expNN_*`
-//! binaries route both through [`cli`], which understands:
+//! Every experiment module exposes one entry point,
+//! `report(&RunContext) -> ExperimentReport`, registered in
+//! [`crate::EXPERIMENTS`] under its binary name. Each `expNN_*` binary
+//! is one `[[bin]]` name for `src/bin/experiment.rs`, which hands its
+//! own name to [`cli`]; `cli` looks the experiment up, builds the report
+//! once, prints it as text ([`ExperimentReport::to_text`]) and writes the
+//! requested machine-readable views of the same report. It understands:
 //!
 //! * `--quick` — run the reduced-size configuration;
 //! * `--threads <n>` — worker count for parallel sweeps (`ia-par`);
@@ -34,61 +38,30 @@
 //! byte-identical across `--threads` settings. Wall-clock-derived
 //! numbers — `par_threads`, `par_tasks`, `par_imbalance` — therefore
 //! live in a separate [`runtime`](ExperimentReport::runtime) section
-//! that is *excluded* from the JSON/CSV emitters and printed to stderr
+//! that is *excluded* from the text/JSON/CSV views and printed to stderr
 //! instead.
 
-use std::sync::OnceLock;
-
+use ia_core::Table;
 use ia_telemetry::{csv, JsonValue};
 
-/// Process-wide memo of an experiment's expensive computation, keyed by
-/// the `--quick` flag.
-///
-/// [`cli`] renders the human-readable run *and* (under `--json`/`--csv`)
-/// the machine-readable report in one invocation, and both call the same
-/// underlying computation; without the memo each binary simulated its
-/// entire workload twice. Experiment results are deterministic by
-/// construction — that is exactly what `BENCH_PR.json`'s byte-identity
-/// gate asserts — so caching the first computation is invisible
-/// everywhere except wall-clock.
-///
-/// Usage, inside an experiment module:
-///
-/// ```ignore
-/// pub fn rows(quick: bool) -> Vec<Row> {
-///     static CACHE: OutcomeCache<Vec<Row>> = OutcomeCache::new();
-///     CACHE.get_or_compute(quick, || compute_rows(quick))
-/// }
-/// ```
-#[derive(Debug)]
-pub struct OutcomeCache<T> {
-    quick: OnceLock<T>,
-    full: OnceLock<T>,
+/// The explicit inputs of one experiment run. Everything an experiment
+/// may vary on arrives here; nothing is read from process-wide settings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunContext {
+    /// Run the reduced-size configuration.
+    pub quick: bool,
+    /// `ia-par` worker count for the run's parallel sweeps (`1` = the
+    /// exact serial path). Reports are byte-identical at every value.
+    pub threads: usize,
 }
 
-impl<T: Clone> OutcomeCache<T> {
-    /// Creates an empty cache (usable in `static` position).
-    #[must_use]
-    pub const fn new() -> Self {
-        OutcomeCache {
-            quick: OnceLock::new(),
-            full: OnceLock::new(),
-        }
-    }
-
-    /// Returns the value for `quick`, running `compute` only on the
-    /// first call with that flag.
-    pub fn get_or_compute(&self, quick: bool, compute: impl FnOnce() -> T) -> T {
-        let slot = if quick { &self.quick } else { &self.full };
-        slot.get_or_init(compute).clone()
-    }
-}
-
-impl<T: Clone> Default for OutcomeCache<T> {
-    fn default() -> Self {
-        OutcomeCache::new()
-    }
-}
+/// The context the experiment modules' unit tests run under: quick, on
+/// a two-worker pool so the parallel path is exercised.
+#[cfg(test)]
+pub(crate) const QUICK: RunContext = RunContext {
+    quick: true,
+    threads: 2,
+};
 
 /// A structured record of one experiment run.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +78,7 @@ pub struct ExperimentReport {
     pub rows: Vec<Vec<String>>,
     /// Runtime-only diagnostics (`par_threads`, `par_imbalance`, …):
     /// wall-clock derived and nondeterministic, so excluded from
+    /// [`to_text`](ExperimentReport::to_text) /
     /// [`to_json`](ExperimentReport::to_json) /
     /// [`to_csv`](ExperimentReport::to_csv) and reported on stderr.
     pub runtime: Vec<(String, f64)>,
@@ -289,6 +263,36 @@ impl ExperimentReport {
             csv::render(&self.headers, &self.rows)
         }
     }
+
+    /// Renders the report as the text an experiment binary prints:
+    /// `title`, the params, the result table (when one is present) and
+    /// the headline metrics. Like the JSON, it carries no runtime
+    /// diagnostics, so it is byte-identical across `--threads`.
+    #[must_use]
+    pub fn to_text(&self, title: &str) -> String {
+        let params: Vec<String> = self
+            .params
+            .iter()
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        let mut out = format!("{title}\nparams: {}\n", params.join(", "));
+        if !self.headers.is_empty() {
+            let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
+            let mut table = Table::new(&headers);
+            for row in &self.rows {
+                table.row(row);
+            }
+            out.push_str(&format!("{table}\n"));
+        }
+        if !self.metrics.is_empty() {
+            let mut table = Table::new(&["metric", "value"]);
+            for (k, v) in &self.metrics {
+                table.row(&[k.clone(), format!("{v}")]);
+            }
+            out.push_str(&format!("{table}\n"));
+        }
+        out
+    }
 }
 
 /// Parsed command-line options shared by every experiment binary.
@@ -351,49 +355,60 @@ fn parse_cli(args: &[String]) -> Result<CliOptions, String> {
     Ok(opts)
 }
 
-/// Shared experiment-binary entry point: prints the human-readable run
-/// and, when `--json <path>` / `--csv <path>` are given, writes the
-/// machine-readable report. `--quick` selects the reduced configuration
-/// for both; `--threads <n>` sets the `ia-par` worker count for the
-/// whole process (`1` = the exact serial path, default = available
-/// parallelism). `--trace <path>` records an `ia-trace` session during
-/// the run and writes it as Chrome trace-event JSON; `--profile`
-/// additionally prints the cycle-attribution profile to stderr.
-/// `--record-trace <path>` captures the run's workloads as an
-/// `ia-tracefmt` artifact and `--replay-trace <path>` drives the run
-/// from one (mutually exclusive — rejected with exit status `2`).
-/// Parallel-execution diagnostics for the invocation are printed to
-/// stderr and attached to the report as
-/// [runtime metrics](ExperimentReport::runtime_metric).
+/// Resolves a `--threads` value: a positive integer, or the host's
+/// available parallelism when the flag is absent. Shared by every
+/// binary that takes the flag.
+///
+/// # Errors
+///
+/// A message for stderr when `value` is not a positive integer.
+pub fn resolve_threads(value: Option<&str>) -> Result<usize, String> {
+    match value {
+        Some(t) => t
+            .parse::<usize>()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| format!("--threads expects a positive integer, got `{t}`")),
+        None => Ok(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)),
+    }
+}
+
+/// Shared experiment-binary entry point: looks `bin` up in
+/// [`crate::EXPERIMENTS`], builds its report once, prints the report as
+/// text and, when `--json <path>` / `--csv <path>` are given, writes the
+/// machine-readable views of the same report. `--quick` and
+/// `--threads <n>` form the [`RunContext`] (`1` = the exact serial
+/// path, default = available parallelism). `--trace <path>` records an
+/// `ia-trace` session during the run and writes it as Chrome
+/// trace-event JSON; `--profile` additionally prints the
+/// cycle-attribution profile to stderr. `--record-trace <path>`
+/// captures the run's workloads as an `ia-tracefmt` artifact and
+/// `--replay-trace <path>` drives the run from one (mutually exclusive
+/// — rejected with exit status `2`). Parallel-execution diagnostics for
+/// the invocation are printed to stderr.
 ///
 /// # Exits
 ///
 /// Exits with status `2` (after a message on stderr, no backtrace) if
-/// an argument is not recognized, `--threads` is not a positive
-/// integer, or a requested output file cannot be written — an
-/// experiment binary has nothing sensible to do with any of those, and
-/// callers (CI, sweep scripts) key off the exit code.
-pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> ExperimentReport) {
+/// `bin` names no experiment, an argument is not recognized,
+/// `--threads` is not a positive integer, or a requested output file
+/// cannot be written — an experiment binary has nothing sensible to do
+/// with any of those, and callers (CI, sweep scripts) key off the exit
+/// code.
+pub fn cli(bin: &str) {
     let args: Vec<String> = std::env::args().collect();
-    let opts = parse_cli(&args).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
-    if let Some(t) = &opts.threads {
-        let n = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                eprintln!("error: --threads expects a positive integer, got `{t}`");
-                std::process::exit(2);
-            });
-        ia_par::set_threads(n);
-    }
+    let opts = parse_cli(&args).unwrap_or_else(|msg| exit_error(&msg));
+    let Some(experiment) = crate::EXPERIMENTS.iter().find(|e| e.bin == bin) else {
+        exit_error(&format!("no experiment is registered as `{bin}`"));
+    };
+    let threads = resolve_threads(opts.threads.as_deref()).unwrap_or_else(|msg| exit_error(&msg));
+    let ctx = RunContext {
+        quick: opts.quick,
+        threads,
+    };
     if let Some(path) = &opts.replay_trace {
         if let Err(e) = crate::replay::start_replay(path) {
-            eprintln!("error: loading replay trace {path}: {e}");
-            std::process::exit(2);
+            exit_error(&format!("loading replay trace {path}: {e}"));
         }
     }
     if opts.record_trace.is_some() {
@@ -405,20 +420,19 @@ pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> Experi
         let _ = ia_trace::session::take();
         ia_trace::set_capture(true);
     }
-    print!("{}", run(opts.quick));
+    let rep = attach_par_diagnostics((experiment.report)(&ctx), threads);
+    let log = tracing.then(|| {
+        ia_trace::set_capture(false);
+        ia_trace::session::take()
+    });
+    print!("{}", rep.to_text(experiment.title));
+    eprintln!("{}", par_diagnostics_from(&rep));
     if let Some(path) = &opts.record_trace {
-        // Workload construction happens inside `run` (and is memoized
-        // across `report`), so the session is complete here.
         if let Err(e) = crate::replay::finish_record(path) {
-            eprintln!("error: writing recorded trace {path}: {e}");
-            std::process::exit(2);
+            exit_error(&format!("writing recorded trace {path}: {e}"));
         }
     }
-    if tracing {
-        // Capture must be off before `report(quick)` re-runs the
-        // experiment below, or the session would hold everything twice.
-        ia_trace::set_capture(false);
-        let log = ia_trace::session::take();
+    if let Some(log) = log {
         if let Some(path) = &opts.trace {
             write_or_exit(path, &ia_trace::chrome::render_chrome(&log));
         }
@@ -426,20 +440,21 @@ pub fn cli(run: impl FnOnce(bool) -> String, report: impl FnOnce(bool) -> Experi
             eprint!("{}", profile_text(&log));
         }
     }
-    if opts.json.is_none() && opts.csv.is_none() {
-        eprintln!("{}", par_diagnostics_line());
-        return;
-    }
-    let rep = attach_par_diagnostics(report(opts.quick));
-    eprintln!("{}", par_diagnostics_from(&rep));
-    if let Some(path) = opts.json {
+    if let Some(path) = &opts.json {
         let mut text = rep.to_json().render();
         text.push('\n');
-        write_or_exit(&path, &text);
+        write_or_exit(path, &text);
     }
-    if let Some(path) = opts.csv {
-        write_or_exit(&path, &rep.to_csv());
+    if let Some(path) = &opts.csv {
+        write_or_exit(path, &rep.to_csv());
     }
+}
+
+/// The shared CLI failure path: prints `error: <msg>` to stderr and
+/// exits with status `2`, the code callers (CI, sweep scripts) key off.
+pub fn exit_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
 /// Renders the cycle-attribution profile of `log` plus a `trace.*`
@@ -460,26 +475,25 @@ fn profile_text(log: &ia_trace::TraceLog) -> String {
 /// backtrace.
 fn write_or_exit(path: &str, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
-        eprintln!("error: writing {path}: {e}");
-        std::process::exit(2);
+        exit_error(&format!("writing {path}: {e}"));
     }
 }
 
 /// Drains the `ia-par` ledger into the report's runtime section:
-/// `par_threads` (configured workers), `par_tasks` (tasks executed this
+/// `par_threads` (the run's configured workers), `par_tasks` (tasks executed this
 /// invocation), `par_imbalance` (worst max/mean worker busy time, `1` =
 /// balanced or serial), `par_busy_ms` (total worker busy time) and
 /// `par_slowest_ms` (longest single task — the wall-clock floor of the
 /// sweep no matter how many workers are added).
 #[must_use]
-pub fn attach_par_diagnostics(rep: ExperimentReport) -> ExperimentReport {
+fn attach_par_diagnostics(rep: ExperimentReport, threads: usize) -> ExperimentReport {
     let ledger = ia_par::ledger::take();
     let imbalance = if ledger.parallel_invocations == 0 {
         1.0
     } else {
         ledger.worst_imbalance.max(1.0)
     };
-    rep.runtime_metric("par_threads", ia_par::auto_threads() as f64)
+    rep.runtime_metric("par_threads", threads as f64)
         .runtime_metric("par_tasks", ledger.tasks as f64)
         .runtime_metric("par_imbalance", imbalance)
         .runtime_metric("par_busy_ms", ledger.busy_total.as_secs_f64() * 1e3)
@@ -502,11 +516,6 @@ fn par_diagnostics_from(rep: &ExperimentReport) -> String {
         get("par_busy_ms"),
         get("par_slowest_ms"),
     )
-}
-
-/// Diagnostics line for runs that never built a report.
-fn par_diagnostics_line() -> String {
-    par_diagnostics_from(&attach_par_diagnostics(ExperimentReport::new("", false)))
 }
 
 #[cfg(test)]
@@ -558,11 +567,38 @@ mod tests {
         let json = rep.to_json().render();
         assert!(!json.contains("par_threads"), "runtime leaked into JSON");
         assert!(!rep.to_csv().contains("par_imbalance"));
+        assert_eq!(rep.to_text("t"), sample().to_text("t"));
         let parsed = JsonValue::parse(&json).unwrap();
         let back = ExperimentReport::from_json(&parsed).unwrap();
         assert!(back.runtime.is_empty());
         // Byte-identity: the canonical output ignores runtime entirely.
         assert_eq!(json, sample().to_json().render());
+    }
+
+    #[test]
+    fn text_renders_title_params_table_and_metrics() {
+        let text = sample().to_text("E99: sample experiment");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "E99: sample experiment");
+        assert_eq!(lines[1], "params: quick=true, bytes=4096");
+        assert!(text.contains("| size  | speedup |"), "{text}");
+        assert!(text.contains("| 4 KiB | 11.6x   |"), "{text}");
+        assert!(text.contains("| speedup     | 11.6  |"), "{text}");
+        assert!(text.contains("| energy_gain | 74.4  |"), "{text}");
+        // Metrics-only reports skip the (empty) result table.
+        let metrics_only = ExperimentReport::new("m", false).metric("x", 1.5);
+        let text = metrics_only.to_text("T");
+        assert_eq!(text.lines().filter(|l| l.starts_with('+')).count(), 3);
+    }
+
+    #[test]
+    fn threads_resolve_to_a_positive_count() {
+        assert_eq!(resolve_threads(Some("3")), Ok(3));
+        assert!(resolve_threads(None).is_ok_and(|n| n >= 1));
+        for bad in ["0", "-1", "lots", ""] {
+            let err = resolve_threads(Some(bad)).unwrap_err();
+            assert!(err.contains("positive integer"), "{bad}: {err}");
+        }
     }
 
     fn argv(parts: &[&str]) -> Vec<String> {

@@ -4,12 +4,17 @@
 //! `ia-telemetry`'s own parser — the same loop `scripts/bench_snapshot.sh`
 //! and any downstream tooling rely on.
 
-use ia_bench::report::ExperimentReport;
+use ia_bench::report::{ExperimentReport, RunContext};
+
+const QUICK: RunContext = RunContext {
+    quick: true,
+    threads: 1,
+};
 use ia_telemetry::JsonValue;
 
 #[test]
 fn exp02_report_round_trips_through_json_on_disk() {
-    let rep = ia_bench::exp02_rowclone::report(true);
+    let rep = ia_bench::exp02_rowclone::report(&QUICK);
 
     // Write exactly what the binary's `--json <path>` flag writes.
     let mut text = rep.to_json().render();
@@ -44,11 +49,11 @@ fn every_experiment_report_names_itself_and_records_quick() {
     // Cheap sanity on the two smallest reports: names match modules and
     // the quick param is recorded, so BENCH_PR.json entries are
     // self-describing.
-    let raidr = ia_bench::exp06_raidr::report(true);
+    let raidr = ia_bench::exp06_raidr::report(&QUICK);
     assert_eq!(raidr.name, "exp06_raidr");
     assert!(raidr.metric_value("refresh_reduction").is_some());
 
-    let pnm = ia_bench::exp08_pnm_graph::report(true);
+    let pnm = ia_bench::exp08_pnm_graph::report(&QUICK);
     assert_eq!(pnm.name, "exp08_pnm_graph");
     assert!(!pnm.rows.is_empty(), "sweep reports carry their table");
 }

@@ -5,19 +5,29 @@
 
 use std::sync::Mutex;
 
-// Session capture and the ambient thread count are process-global, so
-// trace-capturing tests serialize on one lock.
+use ia_bench::report::RunContext;
+
+// Session capture is process-global: a capture collects the traces of
+// every simulation running in the process, so trace-capturing tests
+// serialize on one lock.
 static CAPTURE_GUARD: Mutex<()> = Mutex::new(());
 
+/// Captures one quick exp05 run. Every capture must record something:
+/// an empty log would make the comparisons below pass vacuously.
 fn captured_exp05() -> (
     Vec<ia_bench::exp05_scheduler_suite::Row>,
     ia_trace::TraceLog,
 ) {
     let _ = ia_trace::session::take();
     ia_trace::set_capture(true);
-    let rows = ia_bench::exp05_scheduler_suite::rows(true);
+    let rows = ia_bench::exp05_scheduler_suite::rows(&RunContext {
+        quick: true,
+        threads: 2,
+    });
     ia_trace::set_capture(false);
-    (rows, ia_trace::session::take())
+    let log = ia_trace::session::take();
+    assert!(!log.components.is_empty(), "the capture recorded no trace");
+    (rows, log)
 }
 
 #[test]

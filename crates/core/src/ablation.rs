@@ -24,9 +24,9 @@ pub struct AblationRow {
 /// same trace and registry, returning one row per rung.
 ///
 /// The four rungs are independent full-system simulations, so they fan
-/// out on the `ia-par` worker pool (ambient `--threads` setting); the
-/// pool returns reports in ladder order, so speedups — all relative to
-/// the rung-0 baseline — are identical to the serial run.
+/// out on `threads` `ia-par` workers; the pool returns reports in ladder
+/// order, so speedups — all relative to the rung-0 baseline — are
+/// identical to the serial run at any `threads`.
 ///
 /// # Errors
 ///
@@ -36,19 +36,16 @@ pub fn run_ablation(
     base_config: &SystemConfig,
     registry: &AtomRegistry,
     trace: &[TraceRequest],
+    threads: usize,
 ) -> Result<Vec<AblationRow>, CoreError> {
-    let reports = ia_par::par_map(
-        ia_par::auto_threads(),
-        PrincipleSet::ladder().to_vec(),
-        |principles| {
-            let config = SystemConfig {
-                principles,
-                ..base_config.clone()
-            };
-            let system = IntelligentSystem::new(config).with_registry(registry.clone());
-            system.run(trace).map(|report| (principles, report))
-        },
-    )
+    let reports = ia_par::par_map(threads, PrincipleSet::ladder().to_vec(), |principles| {
+        let config = SystemConfig {
+            principles,
+            ..base_config.clone()
+        };
+        let system = IntelligentSystem::new(config).with_registry(registry.clone());
+        system.run(trace).map(|report| (principles, report))
+    })
     .into_iter()
     .collect::<Result<Vec<_>, _>>()?;
 
@@ -78,7 +75,7 @@ mod tests {
         let trace = ZipfGen::new(0, 2048, 4096, 1.1, 0.2)
             .unwrap()
             .generate(2500, &mut rng);
-        let rows = run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace).unwrap();
+        let rows = run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &trace, 2).unwrap();
         assert_eq!(rows.len(), 4);
         assert!((rows[0].speedup - 1.0).abs() < 1e-12);
         assert_eq!(rows[0].principles.count(), 0);
@@ -93,6 +90,6 @@ mod tests {
 
     #[test]
     fn ablation_rejects_empty_trace() {
-        assert!(run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &[]).is_err());
+        assert!(run_ablation(&SystemConfig::default(), &AtomRegistry::new(), &[], 1).is_err());
     }
 }

@@ -1,5 +1,5 @@
-// path: crates/bench/src/bin/exp99_fake.rs
-// OK: the binary routes through the shared CLI.
+// path: crates/bench/src/bin/experiment.rs
+// OK: the binary routes through the shared CLI, which looks its name up in the registry.
 fn main() {
-    ia_bench::report::cli(ia_bench::exp99_fake::run, ia_bench::exp99_fake::report);
+    ia_bench::report::cli(env!("CARGO_BIN_NAME"));
 }

@@ -17,6 +17,10 @@
 //!   lowest-indexed panic is re-raised on the caller (so even the
 //!   propagated panic is deterministic).
 //!
+//! The worker count is always an explicit argument: there is no
+//! process-wide default, so two sweeps in one process can run at
+//! different thread counts without touching shared state.
+//!
 //! Every parallel invocation also records wall-clock accounting into a
 //! process-wide [`ledger`], which the bench CLI drains into
 //! `par_threads` / `par_tasks` / `par_imbalance` runtime diagnostics.
@@ -27,33 +31,11 @@
 #![forbid(unsafe_code)]
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 pub mod ledger;
-
-/// The ambient worker count: `0` means "not configured", which resolves
-/// to [`std::thread::available_parallelism`].
-static THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide worker count used by [`auto_threads`].
-/// `set_threads(1)` restores the exact serial path everywhere;
-/// `set_threads(0)` reverts to the hardware default.
-pub fn set_threads(n: usize) {
-    THREADS.store(n, Ordering::Relaxed);
-}
-
-/// The resolved ambient worker count: the value given to
-/// [`set_threads`], or the host's available parallelism when unset.
-#[must_use]
-pub fn auto_threads() -> usize {
-    match THREADS.load(Ordering::Relaxed) {
-        // lint: allow(D006, picks the worker count only; par_map output is index-ordered and byte-identical for any thread count)
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    }
-}
 
 /// Locks `m`, riding through poison: a worker panic must not deadlock
 /// or double-panic the pool teardown.
@@ -234,13 +216,5 @@ mod tests {
             msg.starts_with("task 7 of 32: "),
             "payload carries the task coordinates: {msg}"
         );
-    }
-
-    #[test]
-    fn ambient_thread_count_round_trips() {
-        set_threads(3);
-        assert_eq!(auto_threads(), 3);
-        set_threads(0);
-        assert!(auto_threads() >= 1);
     }
 }

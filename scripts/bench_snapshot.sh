@@ -48,11 +48,6 @@ now_ms() {
     echo $(( ${t%.*} * 1000 + 10#${t#*.} / 1000 ))
 }
 
-bins=()
-for src in crates/bench/src/bin/exp*.rs; do
-    bins+=("$(basename "$src" .rs)")
-done
-
 threads="$(nproc 2>/dev/null || echo 1)"
 wall="$(dirname "$out")/BENCH_WALL.json"
 micro="$(dirname "$out")/BENCH_MICRO.json"
@@ -97,8 +92,12 @@ if ! target/release/bench_suite --quick --threads "$threads" \
 fi
 suite_end_ms="$(now_ms)"
 # Per-experiment rows come from the runner's own stopwatch (fork-free);
-# they are recorded here, outside the timed window.
+# they are recorded here, outside the timed window. The runner prints
+# one `<bin-name> <ms>` line per experiment in registry order
+# (`ia_bench::EXPERIMENTS`), which is also the order of BENCH_PR.json.
+bins=()
 while IFS=' ' read -r bin ms; do
+    bins+=("$bin")
     record "$bin" "$ms"
 done < "$tmpdir/walls.txt"
 # The headline row perf work optimizes against: one number for the whole

@@ -53,6 +53,9 @@ mv "$wall.tmp" "$wall"
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== cargo test, one test at a time (a second order: catches order-dependent tests)"
+cargo test -q --workspace -- --test-threads 1
+
 echo "== parallel determinism (--threads 1 vs --threads 4 byte-identity)"
 cargo test -q --test parallel_determinism
 
@@ -119,7 +122,8 @@ cargo test -q -p ia-memctrl --test snapshot_fork
 fork_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$fuzz_dir" "$micro_dir" "$fork_dir"' EXIT
 # The warm-forked exp05 must emit byte-identical reports on back-to-back
-# runs (fork determinism is what makes the sweep's memoization sound).
+# runs: every sweep cell forks one warm controller, and the fork path
+# must be as deterministic from process to process as a cold build.
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
     --quick --json "$fork_dir/a.json" > /dev/null
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
