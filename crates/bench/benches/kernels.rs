@@ -1,7 +1,7 @@
 //! Wall-clock benchmarks of the simulator's hot kernels: the DRAM command
 //! path, the Ambit engine, BDI compression, scheduler selection, the
-//! near-memory graph step, SECDED coding, NoC simulation, and the stride
-//! prefetcher.
+//! near-memory graph step, SECDED coding and NoC simulation. (The
+//! prefetch demand path is benched by ia-microbench.)
 //!
 //! Hand-rolled harness (`harness = false`): the build is offline, so
 //! criterion is unavailable. Each kernel is timed over enough iterations
@@ -17,7 +17,6 @@ use ia_dram::{AccessKind, Cycle, DramConfig, DramModule, PhysAddr};
 use ia_memctrl::{run_closed_loop, FrFcfs, MemRequest, RlScheduler, RlSchedulerConfig};
 use ia_noc::{simulate, MeshConfig, RouterKind, Traffic};
 use ia_pnm::{PnmGraphEngine, StackConfig};
-use ia_prefetch::{PrefetchHarness, StridePrefetcher};
 use ia_pum::{AmbitEngine, BitwiseOp};
 use ia_reliability::{decode, encode};
 use ia_workloads::Graph;
@@ -161,16 +160,6 @@ fn main() {
                 .expect("valid run")
                 .delivered,
             );
-        }
-    });
-
-    bench(filter, "prefetch/stride_demand", {
-        let mut h = PrefetchHarness::new(64 * 1024, 64, 8, Box::new(StridePrefetcher::new(4)))
-            .expect("valid harness");
-        let mut addr = 0u64;
-        move || {
-            addr = addr.wrapping_add(64) % (1 << 28);
-            h.demand(black_box(addr));
         }
     });
 }

@@ -4,7 +4,9 @@
 //! the cache-side mechanisms the paper cites under all three principles:
 //!
 //! * [`Cache`] — set-associative LRU with pluggable insertion policy
-//!   (MRU / LIP / BIP), the substrate everything else builds on.
+//!   (MRU / LIP / BIP), the substrate everything else builds on. Its
+//!   ways are stored struct-of-arrays and set-major, so a hit check
+//!   scans one contiguous row of tags.
 //! * [`DipCache`] — dynamic insertion via set dueling (data-driven).
 //! * [`EafCache`] — Evicted-Address Filter against pollution & thrashing.
 //! * [`bdi_compress`] / [`CompressedCache`] — Base-Delta-Immediate

@@ -43,14 +43,6 @@ pub struct CacheAccess {
     pub evicted: Option<u64>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-    /// Recency stamp: larger = more recent.
-    stamp: u64,
-}
-
 /// Hit/miss statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -102,7 +94,23 @@ impl ia_telemetry::MetricSource for CacheStats {
     }
 }
 
+/// Tag of an empty way. A real tag equals it only when the line size
+/// and the set count are both 1 and the address is `u64::MAX`; only then
+/// does a lookup also check the way's stamp.
+const EMPTY_TAG: u64 = u64::MAX;
+
+/// Stamp of an empty way. Real stamps are at most the access clock,
+/// which would need `u64::MAX` accesses to reach it.
+const EMPTY_STAMP: u64 = u64::MAX;
+
 /// A set-associative write-back cache.
+///
+/// Storage is struct-of-arrays and set-major: way `w` of set `s` sits at
+/// index `s * ways + w` of the `tags`, `stamps` and `dirty` arrays, so
+/// the hit check scans one contiguous row of tags (64 bytes at 8 ways).
+/// An empty way holds [`EMPTY_TAG`] and [`EMPTY_STAMP`]. Sets and tags
+/// come from shifts and masks, since line size and set count are powers
+/// of two.
 ///
 /// # Examples
 ///
@@ -116,8 +124,17 @@ impl ia_telemetry::MetricSource for CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    sets: Vec<Vec<Option<Line>>>,
+    tags: Vec<u64>,
+    /// Recency stamps: larger = more recent.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
     line_bytes: u64,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(set count)`.
+    set_bits: u32,
+    /// `set count - 1`.
+    set_mask: u64,
     ways: usize,
     policy: InsertionPolicy,
     stats: CacheStats,
@@ -141,19 +158,27 @@ impl Cache {
         if !line_bytes.is_power_of_two() {
             return Err(CacheError::invalid("line size must be a power of two"));
         }
-        let lines = size_bytes / line_bytes;
-        if lines == 0 || !lines.is_multiple_of(ways as u64) {
+        let divisible = line_bytes
+            .checked_mul(ways as u64)
+            .is_some_and(|row| size_bytes.is_multiple_of(row));
+        if !divisible {
             return Err(CacheError::invalid(
                 "size must be divisible by line size × ways",
             ));
         }
-        let set_count = (lines / ways as u64) as usize;
+        let set_count = size_bytes / line_bytes / ways as u64;
         if !set_count.is_power_of_two() {
             return Err(CacheError::invalid("set count must be a power of two"));
         }
+        let slots = set_count as usize * ways;
         Ok(Cache {
-            sets: vec![vec![None; ways]; set_count],
+            tags: vec![EMPTY_TAG; slots],
+            stamps: vec![EMPTY_STAMP; slots],
+            dirty: vec![false; slots],
             line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
+            set_bits: set_count.trailing_zeros(),
+            set_mask: set_count - 1,
             ways,
             policy: InsertionPolicy::Mru,
             stats: CacheStats::default(),
@@ -189,7 +214,7 @@ impl Cache {
     /// Number of sets.
     #[must_use]
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.set_mask as usize + 1
     }
 
     /// Associativity.
@@ -207,23 +232,32 @@ impl Cache {
     /// Set index of an address.
     #[must_use]
     pub fn set_of(&self, addr: u64) -> usize {
-        ((addr / self.line_bytes) % self.sets.len() as u64) as usize
+        ((addr >> self.line_shift) & self.set_mask) as usize
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.line_bytes / self.sets.len() as u64
+        addr >> self.line_shift >> self.set_bits
     }
 
     fn addr_of(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.sets.len() as u64 + set as u64) * self.line_bytes
+        ((tag << self.set_bits) | set as u64) << self.line_shift
+    }
+
+    /// The way of set row `base` holding `tag`, if any.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        let row = &self.tags[base..base + self.ways];
+        let w = row.iter().position(|&t| t == tag)?;
+        if tag != EMPTY_TAG {
+            return Some(w);
+        }
+        (w..self.ways).find(|&w| row[w] == tag && self.stamps[base + w] != EMPTY_STAMP)
     }
 
     /// Whether `addr` is currently cached (no state change).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        self.sets[set].iter().flatten().any(|l| l.tag == tag)
+        self.find(self.set_of(addr) * self.ways, self.tag_of(addr))
+            .is_some()
     }
 
     /// Accesses `addr`, filling on miss. Returns hit/eviction information.
@@ -234,6 +268,7 @@ impl Cache {
     /// Accesses `addr` with an explicit insertion override: `Some(true)`
     /// forces MRU insertion, `Some(false)` forces LRU insertion (used by
     /// the EAF and data-aware policies), `None` uses the default policy.
+    // lint: hot-path
     pub fn access_with_priority(
         &mut self,
         addr: u64,
@@ -243,13 +278,13 @@ impl Cache {
         self.clock += 1;
         let set_idx = self.set_of(addr);
         let tag = self.tag_of(addr);
-        let set = &mut self.sets[set_idx];
+        let base = set_idx * self.ways;
 
         // Hit path: promote to MRU, mark dirty on write.
-        if let Some(line) = set.iter_mut().flatten().find(|l| l.tag == tag) {
-            line.stamp = self.clock;
+        if let Some(w) = self.find(base, tag) {
+            self.stamps[base + w] = self.clock;
             if op == CacheOp::Write {
-                line.dirty = true;
+                self.dirty[base + w] = true;
             }
             self.stats.hits += 1;
             return CacheAccess {
@@ -260,29 +295,27 @@ impl Cache {
         }
         self.stats.misses += 1;
 
-        // Miss path: pick a victim (invalid first, else LRU).
-        let victim_way = match set.iter().position(Option::is_none) {
-            Some(w) => w,
-            None => {
-                let (w, _) = set
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, l)| l.map(|l| (i, l.stamp)))
-                    .min_by_key(|&(_, stamp)| stamp)
-                    // lint: allow(P001, position() found no empty way, so every way is Some)
-                    .expect("full set has lines");
-                w
+        // Miss path: the victim is the first empty way, else the first
+        // way with the minimum stamp. `min_stamp` is the minimum over the
+        // valid ways (the victim included), for LRU insertion below.
+        let stamps = &self.stamps[base..base + self.ways];
+        let mut empty_way = None;
+        let (mut lru_way, mut min_stamp) = (0, EMPTY_STAMP);
+        for (w, &s) in stamps.iter().enumerate() {
+            if s == EMPTY_STAMP {
+                empty_way = empty_way.or(Some(w));
+            } else if s < min_stamp {
+                (lru_way, min_stamp) = (w, s);
             }
-        };
+        }
+        let victim = base + empty_way.unwrap_or(lru_way);
         let (mut writeback, mut evicted) = (None, None);
-        if let Some(old) = set[victim_way] {
-            let addr = self.addr_of(set_idx, old.tag);
+        if empty_way.is_none() {
+            let addr = self.addr_of(set_idx, self.tags[victim]);
             evicted = Some(addr);
-            if old.dirty {
-                writeback = Some(addr);
-            }
             self.stats.evictions += 1;
-            if old.dirty {
+            if self.dirty[victim] {
+                writeback = Some(addr);
                 self.stats.writebacks += 1;
             }
         }
@@ -299,24 +332,18 @@ impl Cache {
                 }
             },
         };
-        let set = &mut self.sets[set_idx];
-        let stamp = if mru {
+        self.stamps[victim] = if mru {
             self.clock
+        } else if min_stamp == EMPTY_STAMP {
+            // An empty set: the new line is the only one.
+            0
         } else {
             // One below the current minimum: next miss evicts this line
             // unless it is re-referenced (which promotes it).
-            set.iter()
-                .flatten()
-                .map(|l| l.stamp)
-                .min()
-                .unwrap_or(1)
-                .saturating_sub(1)
+            min_stamp.saturating_sub(1)
         };
-        set[victim_way] = Some(Line {
-            tag,
-            dirty: op == CacheOp::Write,
-            stamp,
-        });
+        self.tags[victim] = tag;
+        self.dirty[victim] = op == CacheOp::Write;
         CacheAccess {
             hit: false,
             writeback,
@@ -327,25 +354,20 @@ impl Cache {
     /// Invalidates `addr` if present; returns `true` if a dirty line was
     /// dropped (caller must write it back).
     pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
-        for slot in &mut self.sets[set] {
-            if let Some(line) = slot {
-                if line.tag == tag {
-                    let dirty = line.dirty;
-                    *slot = None;
-                    return dirty;
-                }
-            }
-        }
-        false
+        let base = self.set_of(addr) * self.ways;
+        let Some(w) = self.find(base, self.tag_of(addr)) else {
+            return false;
+        };
+        self.tags[base + w] = EMPTY_TAG;
+        self.stamps[base + w] = EMPTY_STAMP;
+        std::mem::replace(&mut self.dirty[base + w], false)
     }
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.iter_mut().for_each(|l| *l = None);
-        }
+        self.tags.fill(EMPTY_TAG);
+        self.stamps.fill(EMPTY_STAMP);
+        self.dirty.fill(false);
         self.stats = CacheStats::default();
         self.clock = 0;
     }
@@ -389,6 +411,43 @@ mod tests {
             Cache::new(64 * 3, 64, 1).is_err(),
             "3 sets not a power of two"
         );
+    }
+
+    #[test]
+    fn size_must_be_a_whole_number_of_set_rows() {
+        let err = Cache::new(100, 64, 1).unwrap_err();
+        assert!(err.to_string().contains("divisible"), "{err}");
+        assert!(Cache::new(64 * 6, 64, 4).is_err(), "1.5 rows of 4 ways");
+        assert!(
+            Cache::new(u64::MAX, 1 << 63, 4).is_err(),
+            "line × ways overflows"
+        );
+        assert!(Cache::new(128, 64, 1).is_ok());
+    }
+
+    #[test]
+    fn an_empty_way_never_matches_a_real_tag() {
+        // The widest tags: 1-byte lines in one set leave every address
+        // bit in the tag, so address `u64::MAX` has the empty-way tag.
+        for (size, line, ways) in [(1, 1, 1), (4, 1, 4), (2, 1, 1), (64, 64, 1), (512, 64, 2)] {
+            for addr in [u64::MAX, u64::MAX - 1, 0, line - 1] {
+                let mut c = Cache::new(size, line, ways).unwrap();
+                assert!(
+                    !c.contains(addr),
+                    "{size}/{line}/{ways}: empty cache holds {addr:#x}"
+                );
+                assert!(!c.invalidate(addr));
+                assert!(!c.access(addr, CacheOp::Write).hit, "cold access must miss");
+                assert!(c.contains(addr));
+                assert!(c.access(addr, CacheOp::Read).hit);
+                assert!(c.invalidate(addr), "the dirty line is dropped");
+                assert!(
+                    !c.contains(addr),
+                    "{size}/{line}/{ways}: invalidated way still matches"
+                );
+                assert!(!c.access(addr, CacheOp::Read).hit);
+            }
+        }
     }
 
     #[test]

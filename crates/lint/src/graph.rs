@@ -550,11 +550,22 @@ fn binding_of(code: &[Tok], r: Range<usize>) -> Option<(String, String)> {
 /// The outermost type constructor of a type expression: the last
 /// identifier at angle/paren/bracket depth 0, skipping sigil keywords.
 /// `&'a mut Vec<Request>` → `Vec`; `&mut dyn Clocked` → `Clocked`;
-/// `foo::Bar` → `Bar`.
+/// `foo::Bar` → `Bar`. A `Box` is transparent to method calls, so it
+/// resolves to its content: `Box<dyn Prefetcher>` → `Prefetcher`.
 fn last_type_ident(code: &[Tok], r: Range<usize>) -> Option<String> {
     let (mut depth, mut angle) = (0i64, 0i64);
     let mut name = None;
-    for t in code.get(r)? {
+    for k in r.clone() {
+        let t = code.get(k)?;
+        if t.is_ident("Box")
+            && angle == 0
+            && depth == 0
+            && k + 1 < r.end
+            && code[k + 1].is_punct('<')
+        {
+            let close = close_of(code, k + 1, r.end, '<', '>');
+            return last_type_ident(code, k + 2..close - 1);
+        }
         if t.is_punct('<') {
             angle += 1;
         } else if t.is_punct('>') {
@@ -994,6 +1005,23 @@ mod tests {
         let go = g.find("a::go").expect("go").id;
         let fire = g.find("a::Q::fire").expect("fire").id;
         assert!(!g.edges[go].contains(&fire));
+    }
+
+    #[test]
+    fn boxed_trait_fields_fan_out_to_implementors() {
+        // `impl Clone for Box<dyn Tick>` makes `Box` a known type with no
+        // `tick` method; the field must still resolve through the box.
+        let g = build(&[(
+            "crates/a/src/lib.rs",
+            "pub trait Tick { fn tick(&mut self); }
+             impl Clone for Box<dyn Tick> { fn clone(&self) -> Self { todo!() } }
+             pub struct A; impl Tick for A { fn tick(&mut self) {} }
+             pub struct B; impl Tick for B { fn tick(&mut self) {} }
+             pub struct Host { inner: Box<dyn Tick>, n: u32 }
+             impl Host { pub fn go(&mut self) { self.inner.tick(); } }",
+        )]);
+        assert!(edge(&g, "a::Host::go", "a::A::tick"));
+        assert!(edge(&g, "a::Host::go", "a::B::tick"));
     }
 
     #[test]

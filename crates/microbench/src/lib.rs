@@ -20,6 +20,13 @@
 //!   comment-strip, item-parse) over a deterministic synthetic source
 //!   file: the per-file cost behind the `ia-lint --check` wall-time
 //!   budget in `scripts/ci.sh`.
+//! * **cache-access** — one [`Cache::access`] on a 64 KiB 8-way cache
+//!   over a fixed stream that mixes a reused hot set with streaming and
+//!   writes: the substrate under every cache experiment.
+//! * **prefetch-demand** — one [`PrefetchHarness::demand`] with a stride
+//!   and with a GHB prefetcher over a fixed walk of unit-stride runs and
+//!   +1,+1,+5 line-delta cycles broken by region jumps: cache probe,
+//!   prefetcher update and prefetch fills per demand.
 //!
 //! ## Determinism (lint D002)
 //!
@@ -51,12 +58,14 @@
 // lint: allow(D002, a microbenchmark harness times the host by definition; checksums, not times, are the stable output)
 use std::time::Instant;
 
+use ia_cache::{Cache, CacheOp};
 use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
 use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
 use ia_lint::parser::{parse_items, Item};
 use ia_memctrl::{FrFcfs, IssueView, MemRequest, Pending, RequestQueue, Scheduler, ViewMode};
 use ia_noc::{MeshConfig, RouteTable};
+use ia_prefetch::{GhbPrefetcher, PrefetchHarness, Prefetcher, StridePrefetcher};
 use ia_sim::EventWheel;
 use ia_telemetry::JsonValue;
 
@@ -317,6 +326,110 @@ fn lint_parse_workspace(iters: u64) -> Sample {
     }
 }
 
+/// Length of the fixed address streams the cache and prefetch kernels
+/// cycle through.
+const STREAM_LEN: u64 = 4_096;
+
+/// The cache-access stream: three accesses in four go to a 96 KiB hot
+/// set (1.5× the cache, so it both hits and conflicts), the fourth
+/// streams through fresh lines; the byte offset within the line varies.
+fn cache_stream() -> Vec<u64> {
+    (0..STREAM_LEN)
+        .map(|i| {
+            let h = fold(0x5EED, i);
+            if i % 4 == 3 {
+                (1 << 30) + i * 64 + (h & 63)
+            } else {
+                h % (96 * 1024)
+            }
+        })
+        .collect()
+}
+
+/// One `Cache::access` per op on a 64 KiB 8-way cache; every eighth
+/// access is a write, so evictions also produce writebacks.
+fn cache_access(iters: u64) -> Sample {
+    // lint: allow(P001, 64 KiB 8-way is a valid geometry)
+    let mut cache = Cache::new(64 * 1024, 64, 8).expect("valid cache");
+    let stream = cache_stream();
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        let op = if i % 8 == 7 {
+            CacheOp::Write
+        } else {
+            CacheOp::Read
+        };
+        let r = cache.access(stream[(i % STREAM_LEN) as usize], op);
+        checksum = fold(checksum, u64::from(r.hit));
+        checksum = fold(checksum, r.evicted.map_or(0, |a| a + 1));
+        checksum = fold(checksum, r.writeback.map_or(0, |a| a + 1));
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// The prefetch-demand stream: every 64 demands it jumps to a new 1 MiB
+/// region, walks 32 lines at unit stride (which both prefetchers
+/// cover), then 32 more whose line deltas cycle +1,+1,+5 (which only
+/// GHB correlates).
+fn prefetch_stream() -> Vec<u64> {
+    let mut line = 0u64;
+    (0..STREAM_LEN)
+        .map(|i| {
+            let j = i % 64;
+            line = if j == 0 {
+                (fold(0xB10C, i) % 4096) << 14
+            } else if j < 32 {
+                line + 1
+            } else {
+                line + [1, 1, 5][(j % 3) as usize]
+            };
+            line * 64
+        })
+        .collect()
+}
+
+/// One `PrefetchHarness::demand` per op through a 64 KiB 8-way harness.
+fn prefetch_demand(prefetcher: Box<dyn Prefetcher>, iters: u64) -> Sample {
+    // lint: allow(P001, 64 KiB 8-way is a valid geometry)
+    let mut h = PrefetchHarness::new(64 * 1024, 64, 8, prefetcher).expect("valid harness");
+    let stream = prefetch_stream();
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for i in 0..iters {
+        h.demand(stream[(i % STREAM_LEN) as usize]);
+        let m = h.metrics();
+        checksum = fold(checksum, m.issued);
+        checksum = fold(checksum, m.covered_misses);
+    }
+    let ns = start.elapsed().as_nanos();
+    let m = h.metrics();
+    checksum = fold(checksum, m.useful);
+    checksum = fold(checksum, m.useless);
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// prefetch-demand with a degree-4 stride prefetcher.
+fn prefetch_demand_stride(iters: u64) -> Sample {
+    prefetch_demand(Box::new(StridePrefetcher::new(4)), iters)
+}
+
+/// prefetch-demand with a 256-entry, degree-4 GHB prefetcher.
+fn prefetch_demand_ghb(iters: u64) -> Sample {
+    prefetch_demand(Box::new(GhbPrefetcher::new(256, 4)), iters)
+}
+
 /// The registered benches, in report order.
 #[must_use]
 pub fn benches() -> Vec<Bench> {
@@ -344,6 +457,18 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "lint_parse_workspace",
             run: lint_parse_workspace,
+        },
+        Bench {
+            name: "cache_access",
+            run: cache_access,
+        },
+        Bench {
+            name: "prefetch_demand_stride",
+            run: prefetch_demand_stride,
+        },
+        Bench {
+            name: "prefetch_demand_ghb",
+            run: prefetch_demand_ghb,
         },
     ]
 }
@@ -415,12 +540,12 @@ pub fn to_json(results: &[BenchResult]) -> String {
 #[must_use]
 pub fn to_table(results: &[BenchResult]) -> String {
     let mut out = String::from(
-        "bench                 iters      ops   ns/op (median)  checksum\n\
-         -----                 -----      ---   --------------  --------\n",
+        "bench                     iters      ops   ns/op (median)  checksum\n\
+         -----                     -----      ---   --------------  --------\n",
     );
     for r in results {
         out.push_str(&format!(
-            "{:<20} {:>6} {:>8}   {:>14.1}  {:#018x}\n",
+            "{:<24} {:>6} {:>8}   {:>14.1}  {:#018x}\n",
             r.name, r.iters, r.ops, r.ns_per_op, r.checksum
         ));
     }
@@ -455,6 +580,25 @@ mod tests {
             for key in ["bench", "iters", "ops", "checksum"] {
                 assert!(entry.get(key).is_some(), "entry missing `{key}`");
             }
+        }
+    }
+
+    #[test]
+    fn prefetch_kernels_issue_useful_prefetches() {
+        // A kernel whose prefetcher never fires would time only the
+        // cache probe.
+        for p in [
+            Box::new(StridePrefetcher::new(4)) as Box<dyn Prefetcher>,
+            Box::new(GhbPrefetcher::new(256, 4)),
+        ] {
+            let mut h = PrefetchHarness::new(64 * 1024, 64, 8, p).unwrap();
+            for a in prefetch_stream() {
+                h.demand(a);
+            }
+            let m = h.metrics();
+            let name = h.prefetcher_name();
+            assert!(m.coverage() > 0.4, "{name}: {m:?}");
+            assert!(m.accuracy() > 0.4, "{name}: {m:?}");
         }
     }
 

@@ -66,8 +66,8 @@ impl Prefetcher for FeedbackDirected {
         "feedback-directed"
     }
 
-    fn observe(&mut self, line: u64, miss: bool) -> Vec<u64> {
-        self.inner.observe(line, miss)
+    fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>) {
+        self.inner.observe(line, miss, out);
     }
 
     fn feedback(&mut self, _line: u64, useful: bool) {
@@ -152,9 +152,12 @@ mod tests {
     #[test]
     fn observe_delegates_to_stride_core() {
         let mut p = FeedbackDirected::new(1);
-        p.observe(10, true);
-        p.observe(11, true);
-        assert_eq!(p.observe(12, true), vec![13]);
+        let mut out = Vec::new();
+        p.observe(10, true, &mut out);
+        p.observe(11, true, &mut out);
+        assert!(out.is_empty(), "two accesses only train");
+        p.observe(12, true, &mut out);
+        assert_eq!(out, vec![13]);
         assert_eq!(p.name(), "feedback-directed");
     }
 }

@@ -3,15 +3,30 @@
 //! technique that generalizes stride detection to recurring delta
 //! *sequences* (e.g. the +1,+1,+5 walk of a blocked loop).
 
+use crate::hash::FastMap;
 use crate::Prefetcher;
 
+/// Two consecutive miss deltas: `(older, newer)`.
+type DeltaPair = (i64, i64);
+
 /// GHB delta-correlation prefetcher.
+///
+/// Misses get consecutive sequence numbers; miss `s` sits in ring slot
+/// `s % capacity`, and the window is the newest `capacity` misses. A
+/// delta pair *ends* at the miss whose arrival completes it. `index`
+/// maps each pair to the sequence number of the most recent miss that
+/// ended it, so finding the previous occurrence of the newest pair is
+/// one map lookup instead of a scan of the buffer. The pair a miss
+/// *started* is removed when that miss leaves the window, so all three
+/// misses of every indexed pair are still in the window, and the index
+/// never holds more entries than the buffer.
 #[derive(Debug, Clone)]
 pub struct GhbPrefetcher {
     /// Circular miss-address history.
     history: Vec<u64>,
-    head: usize,
-    filled: bool,
+    /// Misses pushed so far: the next miss's sequence number.
+    misses: usize,
+    index: FastMap<DeltaPair, usize>,
     degree: usize,
 }
 
@@ -20,30 +35,28 @@ impl GhbPrefetcher {
     /// degree.
     #[must_use]
     pub fn new(entries: usize, degree: usize) -> Self {
+        let capacity = entries.max(4);
         GhbPrefetcher {
-            history: vec![0; entries.max(4)],
-            head: 0,
-            filled: false,
+            history: vec![0; capacity],
+            misses: 0,
+            index: FastMap::with_capacity_and_hasher(capacity, Default::default()),
             degree: degree.max(1),
         }
     }
 
-    fn push(&mut self, line: u64) {
-        self.history[self.head] = line;
-        self.head = (self.head + 1) % self.history.len();
-        if self.head == 0 {
-            self.filled = true;
-        }
+    /// The line of miss `seq`, which must be in the window.
+    fn at(&self, seq: usize) -> u64 {
+        self.history[seq % self.history.len()]
     }
 
-    /// History in chronological order (oldest first).
-    fn chronological(&self) -> Vec<u64> {
-        let n = self.history.len();
-        if self.filled {
-            (0..n).map(|i| self.history[(self.head + i) % n]).collect()
-        } else {
-            self.history[..self.head].to_vec()
-        }
+    /// The delta from miss `seq - 1` to miss `seq`.
+    fn delta(&self, seq: usize) -> i64 {
+        (self.at(seq) as i64).wrapping_sub(self.at(seq - 1) as i64)
+    }
+
+    /// The delta pair ending at miss `seq` (`seq >= 2`).
+    fn pair_ending(&self, seq: usize) -> DeltaPair {
+        (self.delta(seq - 1), self.delta(seq))
     }
 }
 
@@ -52,82 +65,80 @@ impl Prefetcher for GhbPrefetcher {
         "GHB delta-correlation"
     }
 
-    fn observe(&mut self, line: u64, miss: bool) -> Vec<u64> {
+    fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>) {
         if !miss {
-            return Vec::new();
+            return;
         }
-        self.push(line);
-        let hist = self.chronological();
-        if hist.len() < 4 {
-            return Vec::new();
-        }
-        // Correlation key: the last two deltas.
-        let n = hist.len();
-        let d1 = hist[n - 1] as i64 - hist[n - 2] as i64;
-        let d2 = hist[n - 2] as i64 - hist[n - 3] as i64;
-        // Find the most recent earlier occurrence of (d2, d1) and replay
-        // the deltas that followed it.
-        for i in (2..n - 1).rev() {
-            let e1 = hist[i] as i64 - hist[i - 1] as i64;
-            let e2 = hist[i - 1] as i64 - hist[i - 2] as i64;
-            if e1 == d1 && e2 == d2 {
-                let mut out = Vec::new();
-                let mut addr = line as i64;
-                for j in i + 1..n.min(i + 1 + self.degree) {
-                    let delta = hist[j] as i64 - hist[j - 1] as i64;
-                    addr += delta;
-                    if addr >= 0 {
-                        out.push(addr as u64);
-                    }
-                }
-                return out;
+        let capacity = self.history.len();
+        let seq = self.misses;
+        if seq >= capacity {
+            // Miss `seq - capacity` leaves the window: drop the pair it
+            // started, unless a later miss has ended the same pair since.
+            let ended = seq - capacity + 2;
+            let pair = self.pair_ending(ended);
+            if self.index.get(&pair) == Some(&ended) {
+                self.index.remove(&pair);
             }
         }
-        Vec::new()
+        self.history[seq % capacity] = line;
+        self.misses += 1;
+        if seq < 2 {
+            return;
+        }
+        // Record the newest pair and fetch its previous occurrence.
+        let previous = self.index.insert(self.pair_ending(seq), seq);
+        debug_assert!(self.index.len() <= capacity, "index outgrew the buffer");
+        let Some(matched) = previous else {
+            return;
+        };
+        debug_assert!(
+            matched - 2 >= self.misses.saturating_sub(capacity),
+            "an indexed match started outside the window"
+        );
+        // Replay the deltas that followed the match, from this miss.
+        let mut addr = line as i64;
+        for j in matched + 1..=seq.min(matched + self.degree) {
+            addr = addr.wrapping_add(self.delta(j));
+            if addr >= 0 {
+                out.push(addr as u64);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe_once as observe;
 
     #[test]
     fn replays_a_recurring_delta_sequence() {
         // Pattern: +1, +1, +5 repeating — pure stride detection fails,
-        // delta correlation succeeds.
+        // delta correlation succeeds. Each delta pair of the cycle fixes
+        // the next two deltas, so once one period has been seen, every
+        // miss predicts exactly the next two addresses of the walk.
+        let deltas = [1u64, 1, 5];
+        let walk: Vec<u64> = (0..32)
+            .scan(100u64, |addr, i| {
+                let here = *addr;
+                *addr += deltas[i % 3];
+                Some(here)
+            })
+            .collect();
         let mut p = GhbPrefetcher::new(64, 2);
-        let mut addr = 100u64;
-        let deltas = [1i64, 1, 5];
-        let mut predictions = Vec::new();
-        for i in 0..30 {
-            let out = p.observe(addr, true);
+        for (i, &addr) in walk[..30].iter().enumerate() {
+            let out = observe(&mut p, addr, true);
             if i > 10 {
-                predictions.push((addr, out.clone()));
-            }
-            addr = (addr as i64 + deltas[i % 3]) as u64;
-        }
-        // After warmup, at least some predictions must name the actual
-        // next address.
-        let mut correct = 0;
-        for (i, (a, preds)) in predictions.iter().enumerate() {
-            let _ = i;
-            let next = *a as i64;
-            let _ = next;
-            if !preds.is_empty() {
-                correct += 1;
+                assert_eq!(out, walk[i + 1..i + 3], "miss {i} at {addr}");
             }
         }
-        assert!(
-            correct > 5,
-            "delta correlation should fire regularly, got {correct}"
-        );
     }
 
     #[test]
     fn predicts_the_right_next_address_for_strides() {
         let mut p = GhbPrefetcher::new(32, 1);
         for i in 0..10u64 {
-            let out = p.observe(100 + i, true);
+            let out = observe(&mut p, 100 + i, true);
             if i >= 3 {
                 assert_eq!(out, vec![100 + i + 1], "unit stride replay at step {i}");
             }
@@ -137,17 +148,22 @@ mod tests {
     #[test]
     fn silent_without_history_or_on_hits() {
         let mut p = GhbPrefetcher::new(16, 2);
-        assert!(p.observe(5, true).is_empty());
-        assert!(p.observe(9, false).is_empty());
+        assert!(observe(&mut p, 5, true).is_empty());
+        assert!(observe(&mut p, 9, false).is_empty());
         assert_eq!(p.name(), "GHB delta-correlation");
     }
 
     #[test]
-    fn history_wraps_without_panic() {
+    fn index_never_outgrows_the_buffer() {
         let mut p = GhbPrefetcher::new(8, 2);
-        for i in 0..100u64 {
-            p.observe(i * 3, true);
+        let mut line = 0u64;
+        for i in 0..1000u64 {
+            // Deltas from a cycle of 7, so pairs recur but not in step
+            // with the buffer's wrap.
+            line += 1 + i * i % 7;
+            observe(&mut p, line, true);
+            assert!(p.index.len() <= 8, "{} pairs after miss {i}", p.index.len());
         }
-        assert!(p.filled);
+        assert_eq!(p.misses, 1000);
     }
 }

@@ -1,10 +1,9 @@
 //! The prefetch evaluation harness: demand stream → cache + prefetcher,
 //! measuring the standard coverage/accuracy metrics.
 
-use std::collections::HashSet;
-
 use ia_cache::{Cache, CacheError, CacheOp};
 
+use crate::hash::FastSet;
 use crate::Prefetcher;
 
 /// Standard prefetcher quality metrics.
@@ -49,12 +48,19 @@ impl PrefetchMetrics {
 }
 
 /// Drives a prefetcher against a cache with a demand stream.
+///
+/// Every line in `prefetched` is resident: a line enters the set only
+/// when its prefetch fills it, and leaves when a demand uses it or an
+/// eviction drops it. A demand therefore probes the cache once, and a
+/// prefetch target that is not resident cannot be pending already.
 #[derive(Debug)]
 pub struct PrefetchHarness {
     cache: Cache,
     prefetcher: Box<dyn Prefetcher>,
     /// Lines currently resident because of an (unused) prefetch.
-    prefetched: HashSet<u64>,
+    prefetched: FastSet<u64>,
+    /// Reused buffer for the prefetcher's targets.
+    targets: Vec<u64>,
     line_bytes: u64,
     metrics: PrefetchMetrics,
 }
@@ -74,7 +80,8 @@ impl PrefetchHarness {
         Ok(PrefetchHarness {
             cache: Cache::new(cache_bytes, line_bytes, ways)?,
             prefetcher,
-            prefetched: HashSet::new(),
+            prefetched: FastSet::default(),
+            targets: Vec::new(),
             line_bytes,
             metrics: PrefetchMetrics::default(),
         })
@@ -103,31 +110,38 @@ impl PrefetchHarness {
     }
 
     /// Issues one demand access (byte address).
+    // lint: hot-path
     pub fn demand(&mut self, addr: u64) {
         let line = addr / self.line_bytes;
         self.metrics.demands += 1;
         let was_prefetched = self.prefetched.remove(&line);
-        let resident = self.cache.contains(addr);
-        match (resident, was_prefetched) {
-            (true, true) => {
-                self.metrics.covered_misses += 1;
-                self.metrics.useful += 1;
-                self.prefetcher.feedback(line, true);
-            }
-            (true, false) => {}
-            (false, _) => {
-                self.metrics.uncovered_misses += 1;
-            }
-        }
         let access = self.cache.access(addr, CacheOp::Read);
+        debug_assert!(
+            access.hit || !was_prefetched,
+            "a pending prefetch was not resident"
+        );
+        if !access.hit {
+            self.metrics.uncovered_misses += 1;
+        } else if was_prefetched {
+            self.metrics.covered_misses += 1;
+            self.metrics.useful += 1;
+            self.prefetcher.feedback(line, true);
+        }
         self.note_evictions(access.evicted);
 
         // The prefetcher sees the demand stream with hit/miss outcome.
-        for target in self.prefetcher.observe(line, !resident) {
+        let mut targets = std::mem::take(&mut self.targets);
+        targets.clear();
+        self.prefetcher.observe(line, !access.hit, &mut targets);
+        for &target in &targets {
             let target_addr = target * self.line_bytes;
-            if self.cache.contains(target_addr) || self.prefetched.contains(&target) {
+            if self.cache.contains(target_addr) {
                 continue;
             }
+            debug_assert!(
+                !self.prefetched.contains(&target),
+                "a pending prefetch was evicted"
+            );
             self.metrics.issued += 1;
             self.prefetched.insert(target);
             let fill = self
@@ -135,6 +149,7 @@ impl PrefetchHarness {
                 .access_with_priority(target_addr, CacheOp::Read, Some(false));
             self.note_evictions(fill.evicted);
         }
+        self.targets = targets;
     }
 }
 

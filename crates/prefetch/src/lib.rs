@@ -15,6 +15,13 @@
 //! * [`PrefetchHarness`] — drives any prefetcher against a demand stream
 //!   through a real cache and measures coverage/accuracy.
 //!
+//! The per-demand path allocates nothing: [`Prefetcher::observe`]
+//! appends its targets to a scratch buffer the harness reuses, the
+//! harness probes the cache once per demand (every pending prefetch is
+//! resident, so no second lookup is needed), and GHB finds the previous
+//! occurrence of a delta pair through an index no larger than its
+//! buffer instead of scanning a copy of the history.
+//!
 //! ## Example
 //!
 //! ```
@@ -37,6 +44,7 @@
 mod feedback;
 mod ghb;
 mod harness;
+mod hash;
 pub mod runahead;
 mod stride;
 
@@ -45,6 +53,7 @@ pub use ghb::GhbPrefetcher;
 pub use harness::{PrefetchHarness, PrefetchMetrics};
 pub use stride::{NextLinePrefetcher, StridePrefetcher};
 
+use hash::FastMap;
 use ia_learn::Perceptron;
 
 /// A hardware prefetcher observing the demand-miss address stream.
@@ -52,14 +61,30 @@ pub trait Prefetcher: std::fmt::Debug {
     /// Name for reports.
     fn name(&self) -> &'static str;
 
-    /// Observes a demand access (line address) and whether it missed;
-    /// returns line addresses to prefetch.
-    fn observe(&mut self, line: u64, miss: bool) -> Vec<u64>;
+    /// Observes a demand access (line address) and whether it missed,
+    /// and appends the line addresses to prefetch to `out`.
+    ///
+    /// `out` is a scratch buffer owned by the caller: an implementation
+    /// only pushes to its end and never reads, reorders or removes what
+    /// was there before the call. The harness reuses one buffer for
+    /// every demand, so observing allocates nothing once it has grown.
+    fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>);
 
     /// Feedback: a previously-issued prefetch for `line` proved useful
     /// (`true`) or was evicted unused (`false`).
     fn feedback(&mut self, _line: u64, _useful: bool) {}
 }
+
+/// The targets of one `observe`, in a fresh buffer.
+#[cfg(test)]
+fn observe_once(p: &mut impl Prefetcher, line: u64, miss: bool) -> Vec<u64> {
+    let mut out = Vec::new();
+    p.observe(line, miss, &mut out);
+    out
+}
+
+/// Perceptron features of one prefetch candidate.
+type Features = [bool; 8];
 
 /// Perceptron-based prefetch filter: wraps any prefetcher and suppresses
 /// the prefetches the perceptron predicts to be useless, learning from
@@ -71,7 +96,7 @@ pub struct PerceptronFilter<P> {
     /// Suppressed prefetch count.
     pub suppressed: u64,
     /// Features of in-flight prefetches, by line.
-    inflight: std::collections::HashMap<u64, Vec<bool>>,
+    inflight: FastMap<u64, Features>,
 }
 
 impl<P: Prefetcher> PerceptronFilter<P> {
@@ -87,22 +112,24 @@ impl<P: Prefetcher> PerceptronFilter<P> {
             // lint: allow(P001, static width 8 is always a valid perceptron size)
             perceptron: Perceptron::new(8).expect("static width"),
             suppressed: 0,
-            inflight: std::collections::HashMap::new(),
+            inflight: FastMap::default(),
         }
     }
 
-    fn features(line: u64, distance: i64) -> Vec<bool> {
+    fn features(line: u64, distance: i64) -> Features {
         // Low line bits + distance sign/magnitude: the compact feature set
         // hardware filters hash from the request.
-        let mut f = Vec::with_capacity(8);
-        for i in 0..4 {
-            f.push(line >> i & 1 == 1);
-        }
-        f.push(distance > 0);
-        f.push(distance.unsigned_abs() > 1);
-        f.push(distance.unsigned_abs() > 4);
-        f.push(distance.unsigned_abs() > 16);
-        f
+        let far = distance.unsigned_abs();
+        [
+            line & 1 == 1,
+            line >> 1 & 1 == 1,
+            line >> 2 & 1 == 1,
+            line >> 3 & 1 == 1,
+            distance > 0,
+            far > 1,
+            far > 4,
+            far > 16,
+        ]
     }
 }
 
@@ -111,22 +138,25 @@ impl<P: Prefetcher> Prefetcher for PerceptronFilter<P> {
         "perceptron-filtered"
     }
 
-    fn observe(&mut self, line: u64, miss: bool) -> Vec<u64> {
-        let candidates = self.inner.observe(line, miss);
-        candidates
-            .into_iter()
-            .filter(|&c| {
-                let features = Self::features(c, c as i64 - line as i64);
-                let keep = self.perceptron.predict(&features).taken
-                    || self.perceptron.predict(&features).output.abs() < 20;
-                if keep {
-                    self.inflight.insert(c, features);
-                } else {
-                    self.suppressed += 1;
-                }
-                keep
-            })
-            .collect()
+    fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>) {
+        let start = out.len();
+        self.inner.observe(line, miss, out);
+        // Compact the inner prefetcher's candidates in place, keeping
+        // the ones the perceptron lets through, in order.
+        let mut kept = start;
+        for i in start..out.len() {
+            let c = out[i];
+            let features = Self::features(c, c as i64 - line as i64);
+            let p = self.perceptron.predict(&features);
+            if p.taken || p.output.abs() < 20 {
+                self.inflight.insert(c, features);
+                out[kept] = c;
+                kept += 1;
+            } else {
+                self.suppressed += 1;
+            }
+        }
+        out.truncate(kept);
     }
 
     fn feedback(&mut self, line: u64, useful: bool) {
@@ -151,14 +181,16 @@ mod tests {
             fn name(&self) -> &'static str {
                 "noisy"
             }
-            fn observe(&mut self, line: u64, _miss: bool) -> Vec<u64> {
-                vec![line + 1, line + 1000]
+            fn observe(&mut self, line: u64, _miss: bool, out: &mut Vec<u64>) {
+                out.extend([line + 1, line + 1000]);
             }
         }
         let mut f = PerceptronFilter::new(Noisy);
+        let mut issued = Vec::new();
         for i in 0..3000u64 {
-            let issued = f.observe(i * 2, true);
-            for p in issued {
+            issued.clear();
+            f.observe(i * 2, true, &mut issued);
+            for &p in &issued {
                 // The +1 prefetches are useful, the +1000 ones never are.
                 f.feedback(p, p == i * 2 + 1);
             }
@@ -169,7 +201,9 @@ mod tests {
             f.suppressed
         );
         // After training, a fresh observation should keep the near line.
-        let kept = f.observe(1 << 20, true);
+        let mut kept = vec![42];
+        f.observe(1 << 20, true, &mut kept);
+        assert_eq!(kept[0], 42, "earlier buffer contents are untouched");
         assert!(
             kept.contains(&((1 << 20) + 1)),
             "useful near prefetch survived: {kept:?}"
@@ -184,9 +218,7 @@ mod tests {
             fn name(&self) -> &'static str {
                 "nop"
             }
-            fn observe(&mut self, _line: u64, _miss: bool) -> Vec<u64> {
-                vec![]
-            }
+            fn observe(&mut self, _line: u64, _miss: bool, _out: &mut Vec<u64>) {}
         }
         assert_eq!(PerceptronFilter::new(Nop).name(), "perceptron-filtered");
     }

@@ -1,6 +1,7 @@
 //! Fixed-heuristic prefetchers: next-line and region-based stride
 //! detection.
 
+use crate::hash::FastMap;
 use crate::Prefetcher;
 
 /// Prefetches the next `degree` sequential lines on every miss.
@@ -24,11 +25,9 @@ impl Prefetcher for NextLinePrefetcher {
         "next-line"
     }
 
-    fn observe(&mut self, line: u64, miss: bool) -> Vec<u64> {
+    fn observe(&mut self, line: u64, miss: bool, out: &mut Vec<u64>) {
         if miss {
-            (1..=self.degree).map(|d| line + d).collect()
-        } else {
-            Vec::new()
+            out.extend((1..=self.degree).map(|d| line + d));
         }
     }
 }
@@ -40,7 +39,7 @@ impl Prefetcher for NextLinePrefetcher {
 pub struct StridePrefetcher {
     degree: u64,
     /// region → (last line, last delta, confidence).
-    table: std::collections::HashMap<u64, (u64, i64, u8)>,
+    table: FastMap<u64, (u64, i64, u8)>,
     capacity: usize,
 }
 
@@ -50,7 +49,7 @@ impl StridePrefetcher {
     pub fn new(degree: u64) -> Self {
         StridePrefetcher {
             degree: degree.max(1),
-            table: std::collections::HashMap::new(),
+            table: FastMap::default(),
             capacity: 256,
         }
     }
@@ -72,7 +71,7 @@ impl Prefetcher for StridePrefetcher {
         "stride"
     }
 
-    fn observe(&mut self, line: u64, _miss: bool) -> Vec<u64> {
+    fn observe(&mut self, line: u64, _miss: bool, out: &mut Vec<u64>) {
         let region = line >> 6; // 64 lines = 4 KiB regions
         if self.table.len() >= self.capacity && !self.table.contains_key(&region) {
             self.table.clear(); // cheap bulk invalidation, as hardware does
@@ -89,14 +88,10 @@ impl Prefetcher for StridePrefetcher {
         entry.0 = line;
         entry.1 = delta;
         if confident && stride != 0 {
-            (1..=self.degree)
-                .filter_map(|d| {
-                    let target = line as i64 + stride * d as i64;
-                    (target >= 0).then_some(target as u64)
-                })
-                .collect()
-        } else {
-            Vec::new()
+            out.extend((1..=self.degree).filter_map(|d| {
+                let target = line as i64 + stride * d as i64;
+                (target >= 0).then_some(target as u64)
+            }));
         }
     }
 }
@@ -104,54 +99,58 @@ impl Prefetcher for StridePrefetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe_once as observe;
 
     #[test]
     fn next_line_prefetches_on_miss_only() {
         let mut p = NextLinePrefetcher::new(2);
-        assert_eq!(p.observe(10, true), vec![11, 12]);
-        assert!(p.observe(10, false).is_empty());
+        assert_eq!(observe(&mut p, 10, true), vec![11, 12]);
+        assert!(observe(&mut p, 10, false).is_empty());
         assert_eq!(p.name(), "next-line");
     }
 
     #[test]
     fn stride_detects_unit_stride() {
         let mut p = StridePrefetcher::new(2);
-        assert!(p.observe(100, true).is_empty(), "first access trains");
-        assert!(p.observe(101, true).is_empty(), "second sets the delta");
-        let out = p.observe(102, true);
+        assert!(observe(&mut p, 100, true).is_empty(), "first access trains");
+        assert!(
+            observe(&mut p, 101, true).is_empty(),
+            "second sets the delta"
+        );
+        let out = observe(&mut p, 102, true);
         assert_eq!(out, vec![103, 104], "third confirms and prefetches");
     }
 
     #[test]
     fn stride_detects_negative_and_large_strides() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(100, true);
-        p.observe(97, true);
-        let out = p.observe(94, true);
+        observe(&mut p, 100, true);
+        observe(&mut p, 97, true);
+        let out = observe(&mut p, 94, true);
         assert_eq!(out, vec![91]);
     }
 
     #[test]
     fn stride_resets_on_broken_pattern() {
         let mut p = StridePrefetcher::new(1);
-        p.observe(10, true);
-        p.observe(11, true);
-        assert!(!p.observe(12, true).is_empty());
-        assert!(p.observe(40, true).is_empty(), "pattern broken");
-        assert!(p.observe(41, true).is_empty(), "retraining");
-        assert!(!p.observe(42, true).is_empty());
+        observe(&mut p, 10, true);
+        observe(&mut p, 11, true);
+        assert!(!observe(&mut p, 12, true).is_empty());
+        assert!(observe(&mut p, 40, true).is_empty(), "pattern broken");
+        assert!(observe(&mut p, 41, true).is_empty(), "retraining");
+        assert!(!observe(&mut p, 42, true).is_empty());
     }
 
     #[test]
     fn regions_are_independent() {
         let mut p = StridePrefetcher::new(1);
         // Interleave two regions with different strides.
-        p.observe(0, true);
-        p.observe(1000, true);
-        p.observe(1, true);
-        p.observe(1002, true);
-        assert_eq!(p.observe(2, true), vec![3]);
-        assert_eq!(p.observe(1004, true), vec![1006]);
+        observe(&mut p, 0, true);
+        observe(&mut p, 1000, true);
+        observe(&mut p, 1, true);
+        observe(&mut p, 1002, true);
+        assert_eq!(observe(&mut p, 2, true), vec![3]);
+        assert_eq!(observe(&mut p, 1004, true), vec![1006]);
     }
 
     #[test]
