@@ -7,12 +7,22 @@
 //! per bank, and rank-wide predicates (`all_closed`, the refresh gate)
 //! reduce over a single cache line's worth of deadlines.
 //!
-//! [`crate::Bank`] remains the public single-bank state machine; it is a
-//! thin view over a one-element `BankStates`, so the transition logic
-//! lives here exactly once.
+//! This is the one place the per-bank transition logic lives: a
+//! [`crate::Rank`] walks it on the hot path, and a single-bank state
+//! machine is simply `BankStates::new(1)`.
 
 use crate::error::{IssueError, IssueErrorReason};
-use crate::{Command, Cycle, IssueOutcome, RowBufferOutcome, TimingParams};
+use crate::{Command, Cycle, RowBufferOutcome, TimingParams};
+
+/// Result of successfully issuing a command to a bank.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IssueOutcome {
+    /// For column commands, the cycle at which the data burst completes.
+    pub data_ready: Option<Cycle>,
+    /// Row-buffer classification for `Activate` (miss/conflict is decided
+    /// by the caller since a conflict requires an explicit precharge first).
+    pub outcome: Option<RowBufferOutcome>,
+}
 
 /// Sentinel for "no row open". Row indices come from decoded physical
 /// addresses and are bounded by `rows_per_bank`, so `u64::MAX` is never a
@@ -23,7 +33,20 @@ const NO_ROW: u64 = u64::MAX;
 ///
 /// Each array is indexed by the flat bank id within the rank. All
 /// methods taking a `bank` index panic if it is out of range, exactly as
-/// indexing a `Vec<Bank>` did before the flattening.
+/// indexing a per-bank `Vec` would.
+///
+/// # Examples
+///
+/// ```
+/// use ia_dram::{BankStates, Command, Cycle, DramConfig};
+/// let t = DramConfig::ddr3_1600().timing;
+/// let mut bank = BankStates::new(1);
+/// bank.issue(0, Command::Activate { row: 7 }, Cycle::ZERO, &t)?;
+/// let rd_at = bank.ready_at(0, &Command::Read { column: 0 });
+/// let out = bank.issue(0, Command::Read { column: 0 }, rd_at, &t)?;
+/// assert!(out.data_ready.expect("read returns data") > rd_at);
+/// # Ok::<(), ia_dram::IssueError>(())
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankStates {
     /// Open row per bank (`NO_ROW` = closed).
@@ -277,20 +300,6 @@ impl BankStates {
         }
         self.next_act[bank] = self.next_act[bank].max(until);
     }
-
-    /// Copies one bank's state out into a fresh single-bank store (the
-    /// backing representation of a [`crate::Bank`] view).
-    #[must_use]
-    pub(crate) fn extract(&self, bank: usize) -> BankStates {
-        BankStates {
-            open_row: vec![self.open_row[bank]],
-            next_act: vec![self.next_act[bank]],
-            next_pre: vec![self.next_pre[bank]],
-            next_col: vec![self.next_col[bank]],
-            activations: vec![self.activations[bank]],
-            open_banks: usize::from(self.open_row[bank] != NO_ROW),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -335,16 +344,166 @@ mod tests {
     }
 
     #[test]
-    fn extract_matches_per_bank_state() {
+    fn fresh_bank_is_idle() {
+        let bank = BankStates::new(1);
+        assert_eq!(bank.open_row(0), None);
+        assert_eq!(bank.activations(0), 0);
+        assert_eq!(bank.row_buffer_outcome(0, 0), RowBufferOutcome::Miss);
+    }
+
+    #[test]
+    fn activate_then_read_respects_trcd() {
         let timing = t();
-        let mut s = BankStates::new(3);
-        s.issue(1, Command::Activate { row: 9 }, Cycle::ZERO, &timing)
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing)
             .unwrap();
-        let one = s.extract(1);
-        assert_eq!(one.len(), 1);
-        assert_eq!(one.open_row(0), Some(9));
-        assert_eq!(one.activations(0), 1);
-        assert!(!one.all_closed());
-        assert!(s.extract(0).all_closed());
+        assert_eq!(bank.open_row(0), Some(1));
+        // Read too early must fail with the correct ready time.
+        let err = bank
+            .issue(
+                0,
+                Command::Read { column: 0 },
+                Cycle::new(timing.t_rcd - 1),
+                &timing,
+            )
+            .unwrap_err();
+        assert_eq!(err.ready_at(), Some(Cycle::new(timing.t_rcd)));
+        // Read exactly at tRCD succeeds.
+        let out = bank
+            .issue(
+                0,
+                Command::Read { column: 0 },
+                Cycle::new(timing.t_rcd),
+                &timing,
+            )
+            .unwrap();
+        assert_eq!(
+            out.data_ready,
+            Some(Cycle::new(timing.t_rcd + timing.t_cl + timing.t_bl))
+        );
+    }
+
+    #[test]
+    fn precharge_respects_tras() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing)
+            .unwrap();
+        assert!(!bank.can_issue(0, &Command::Precharge, Cycle::new(timing.t_ras - 1)));
+        assert!(bank.can_issue(0, &Command::Precharge, Cycle::new(timing.t_ras)));
+        bank.issue(0, Command::Precharge, Cycle::new(timing.t_ras), &timing)
+            .unwrap();
+        assert_eq!(bank.open_row(0), None);
+        // Next activate gated by tRP after the precharge.
+        assert_eq!(
+            bank.ready_at(0, &Command::Activate { row: 2 }),
+            Cycle::new(timing.t_ras + timing.t_rp)
+        );
+    }
+
+    #[test]
+    fn write_recovery_delays_precharge() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing)
+            .unwrap();
+        let wr_at = Cycle::new(timing.t_rcd);
+        bank.issue(0, Command::Write { column: 0 }, wr_at, &timing)
+            .unwrap();
+        let expected_pre = wr_at + timing.t_cwl + timing.t_bl + timing.t_wr;
+        assert_eq!(
+            bank.ready_at(0, &Command::Precharge),
+            expected_pre.max(Cycle::new(timing.t_ras))
+        );
+    }
+
+    #[test]
+    fn double_activate_is_rejected() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 1 }, Cycle::ZERO, &timing)
+            .unwrap();
+        let err = bank
+            .issue(0, Command::Activate { row: 2 }, Cycle::new(1000), &timing)
+            .unwrap_err();
+        assert_eq!(err.reason(), IssueErrorReason::BankAlreadyOpen);
+    }
+
+    #[test]
+    fn column_to_closed_bank_is_rejected() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        let err = bank
+            .issue(0, Command::Read { column: 0 }, Cycle::ZERO, &timing)
+            .unwrap_err();
+        assert_eq!(err.reason(), IssueErrorReason::BankClosed);
+    }
+
+    #[test]
+    fn row_buffer_outcomes() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        assert_eq!(bank.row_buffer_outcome(0, 5), RowBufferOutcome::Miss);
+        bank.issue(0, Command::Activate { row: 5 }, Cycle::ZERO, &timing)
+            .unwrap();
+        assert_eq!(bank.row_buffer_outcome(0, 5), RowBufferOutcome::Hit);
+        assert_eq!(bank.row_buffer_outcome(0, 6), RowBufferOutcome::Conflict);
+    }
+
+    #[test]
+    fn activation_counter_increments() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        for i in 0..3u64 {
+            let act_at = bank.ready_at(0, &Command::Activate { row: i });
+            bank.issue(0, Command::Activate { row: i }, act_at, &timing)
+                .unwrap();
+            let pre_at = bank.ready_at(0, &Command::Precharge);
+            bank.issue(0, Command::Precharge, pre_at, &timing).unwrap();
+        }
+        assert_eq!(bank.activations(0), 3);
+    }
+
+    #[test]
+    fn consecutive_reads_respect_tccd() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 0 }, Cycle::ZERO, &timing)
+            .unwrap();
+        let first = Cycle::new(timing.t_rcd);
+        bank.issue(0, Command::Read { column: 0 }, first, &timing)
+            .unwrap();
+        assert!(!bank.can_issue(0, &Command::Read { column: 1 }, first + (timing.t_ccd - 1)));
+        assert!(bank.can_issue(0, &Command::Read { column: 1 }, first + timing.t_ccd));
+    }
+
+    #[test]
+    fn same_bank_act_to_act_is_trc() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 0 }, Cycle::ZERO, &timing)
+            .unwrap();
+        bank.issue(0, Command::Precharge, Cycle::new(timing.t_ras), &timing)
+            .unwrap();
+        // tRC = tRAS + tRP must be enforced even with the early precharge.
+        assert_eq!(
+            bank.ready_at(0, &Command::Activate { row: 1 }),
+            Cycle::new(timing.t_rc())
+        );
+    }
+
+    #[test]
+    fn block_until_closes_and_blocks() {
+        let timing = t();
+        let mut bank = BankStates::new(1);
+        bank.issue(0, Command::Activate { row: 0 }, Cycle::ZERO, &timing)
+            .unwrap();
+        bank.block_until(0, Cycle::new(50_000));
+        assert_eq!(bank.open_row(0), None);
+        assert!(bank.all_closed());
+        assert_eq!(
+            bank.ready_at(0, &Command::Activate { row: 1 }),
+            Cycle::new(50_000)
+        );
     }
 }

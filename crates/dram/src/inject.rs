@@ -11,7 +11,7 @@
 use crate::Cycle;
 
 /// One injection-relevant DRAM event. Coordinates identify the physical
-/// row (flat bank index, as in [`CommandEvent`](crate::CommandEvent));
+/// row (channel, rank, flat bank index within the rank, row);
 /// `column` is the burst column, which the reliability pipeline treats
 /// as the protected-codeword index within the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,8 +90,8 @@ impl InjectLog {
         self.enabled
     }
 
-    /// Records one event; free when disabled (`record_with` idiom from
-    /// `TraceBuffer`: the closure only runs if someone is listening).
+    /// Records one event; free when disabled (the closure only runs if
+    /// someone is listening).
     #[inline]
     pub(crate) fn record_with(&mut self, make: impl FnOnce() -> InjectEvent) {
         if self.enabled {

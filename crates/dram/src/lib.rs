@@ -9,10 +9,9 @@
 //!
 //! ## Layering
 //!
-//! * [`BankStates`] — flat struct-of-arrays per-bank state (open rows,
-//!   timing deadlines, activate counters) walked by the hot timing checks.
-//! * [`Bank`] — open-row state machine, per-bank timing windows
-//!   (tRCD/tRAS/tRP/tWR/tRTP/tCCD); a single-bank view over the flat state.
+//! * [`BankStates`] — open-row state machine and per-bank timing windows
+//!   (tRCD/tRAS/tRP/tWR/tRTP/tCCD), stored flat struct-of-arrays (open
+//!   rows, timing deadlines, activate counters) for the hot timing checks.
 //! * [`Rank`] — activate throttling (tRRD, tFAW) and rank-wide refresh
 //!   (tRFC).
 //! * [`Channel`] — shared data-bus serialization and write→read turnaround.
@@ -41,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 mod address;
-mod bank;
 mod channel;
 mod config;
 mod energy;
@@ -56,15 +54,14 @@ mod stats;
 mod types;
 
 pub use address::AddressMapping;
-pub use bank::{Bank, IssueOutcome};
 pub use channel::Channel;
 pub use config::{DramConfig, DramConfigBuilder, EnergyParams, Geometry, TimingParams};
 pub use energy::EnergyCounter;
 pub use error::{ConfigError, IssueError, IssueErrorReason};
-pub use flat::BankStates;
+pub use flat::{BankStates, IssueOutcome};
 pub use inject::InjectEvent;
 pub use latency::{ChargeCacheState, LatencyMode};
-pub use module::{AccessResult, CommandEvent, DramModule};
+pub use module::{AccessResult, DramModule};
 pub use rank::Rank;
 pub use salp::{serve_stream, BankOrganization, SalpBank};
 pub use stats::DramStats;

@@ -2,7 +2,7 @@
 //! Ramulator-style fine-grained command interface and an open-page
 //! convenience interface.
 
-use ia_telemetry::{MetricSource, Scope, TraceBuffer};
+use ia_telemetry::{MetricSource, Scope};
 use ia_trace::{ComponentTrace, Tracer};
 
 use crate::error::{ConfigError, IssueError};
@@ -12,21 +12,6 @@ use crate::{
     AccessKind, AddressMapping, BankGates, Channel, Command, Cycle, DramConfig, DramStats,
     EnergyCounter, IssueOutcome, Location, PhysAddr, RowBufferOutcome, TimingParams,
 };
-
-/// One DRAM command as captured by the module's trace buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CommandEvent {
-    /// Cycle at which the command was issued.
-    pub at: Cycle,
-    /// Channel index.
-    pub channel: usize,
-    /// Rank index within the channel.
-    pub rank: usize,
-    /// Flat bank index within the rank.
-    pub bank: usize,
-    /// The command itself.
-    pub cmd: Command,
-}
 
 /// Result of a full open-page access performed by [`DramModule::access`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +52,6 @@ pub struct DramModule {
     energy: EnergyCounter,
     latency: LatencyMode,
     charge_cache: ChargeCacheState,
-    trace: TraceBuffer<CommandEvent>,
     inject: InjectLog,
     tracer: Tracer,
 }
@@ -91,24 +75,9 @@ impl DramModule {
             energy: EnergyCounter::new(),
             latency: LatencyMode::Standard,
             charge_cache: ChargeCacheState::new(),
-            trace: TraceBuffer::disabled(),
             inject: InjectLog::default(),
             tracer: Tracer::disabled(),
         })
-    }
-
-    /// Enables command-level tracing into a bounded ring of `capacity`
-    /// events (older events are overwritten and counted as dropped).
-    /// Tracing is off by default and costs one branch per issued command.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::new(capacity);
-    }
-
-    /// The command trace buffer (empty unless
-    /// [`enable_trace`](DramModule::enable_trace) was called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceBuffer<CommandEvent> {
-        &self.trace
     }
 
     /// Enables `ia-trace` instant recording of issued commands
@@ -309,13 +278,6 @@ impl DramModule {
         let bank_idx = self.bank_index(loc);
         let open_before = self.channels[loc.channel].rank(loc.rank).open_row(bank_idx);
         let out = self.channels[loc.channel].issue(loc.rank, bank_idx, cmd, now, &timing)?;
-        self.trace.record_with(|| CommandEvent {
-            at: now,
-            channel: loc.channel,
-            rank: loc.rank,
-            bank: bank_idx,
-            cmd,
-        });
         if self.tracer.is_enabled() {
             let name = match cmd {
                 Command::Activate { .. } => "bank.act",
@@ -494,14 +456,12 @@ impl DramModule {
 }
 
 impl MetricSource for DramModule {
-    /// Publishes command/locality counters at this scope, energy under an
-    /// `energy` child scope, and the trace-buffer occupancy counters.
+    /// Publishes command/locality counters at this scope and energy under
+    /// an `energy` child scope.
     fn export_into(&self, scope: &mut Scope<'_>) {
         self.stats.export_into(scope);
         scope.collect("energy", &self.energy);
         scope.set_gauge("charge_cache_hit_rate", self.charge_cache.hit_rate());
-        scope.set_counter("trace_recorded", self.trace.recorded());
-        scope.set_counter("trace_dropped", self.trace.dropped());
     }
 }
 
@@ -628,31 +588,36 @@ mod tests {
     }
 
     #[test]
-    fn trace_captures_command_sequence_when_enabled() {
+    fn cycle_trace_records_commands_in_issue_order() {
+        use ia_trace::TraceEvent;
         let mut dram = module();
-        dram.enable_trace(16);
-        dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
+        dram.enable_cycle_trace(16);
+        let cold = dram
+            .access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
             .unwrap();
-        let cmds: Vec<Command> = dram.trace().iter().map(|e| e.cmd).collect();
-        assert_eq!(cmds.len(), 2, "miss = ACT then RD");
-        assert!(matches!(cmds[0], Command::Activate { .. }));
-        assert!(matches!(cmds[1], Command::Read { .. }));
-        assert_eq!(dram.trace().dropped(), 0);
-    }
-
-    #[test]
-    fn trace_is_off_by_default_and_bounded_when_on() {
-        let mut dram = module();
-        dram.access(PhysAddr::new(0), AccessKind::Read, Cycle::ZERO)
+        let hit = dram
+            .access(PhysAddr::new(64), AccessKind::Read, cold.issued_at)
             .unwrap();
-        assert!(dram.trace().is_empty());
-        dram.enable_trace(2);
-        for i in 0..8u64 {
-            dram.access(PhysAddr::new(i * 64), AccessKind::Read, Cycle::ZERO)
-                .unwrap();
-        }
-        assert_eq!(dram.trace().len(), 2, "ring stays bounded");
-        assert!(dram.trace().dropped() > 0, "overwrites are counted");
+        assert_eq!(hit.outcome, RowBufferOutcome::Hit);
+        let instants: Vec<(&str, u64)> = dram
+            .take_cycle_trace()
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::Instant { name, at, .. } => Some((name, at)),
+                _ => None,
+            })
+            .collect();
+        // A cold read is ACT then RD at their issue cycles; the row hit
+        // that follows adds only its RD.
+        assert_eq!(
+            instants,
+            vec![
+                ("bank.act", 0),
+                ("bank.rd", cold.issued_at.as_u64()),
+                ("bank.rd", hit.issued_at.as_u64()),
+            ]
+        );
     }
 
     #[test]
@@ -701,9 +666,8 @@ mod tests {
     }
 
     #[test]
-    fn module_exports_stats_energy_and_trace_counters() {
+    fn module_exports_stats_and_energy() {
         let mut dram = module();
-        dram.enable_trace(4);
         dram.access(PhysAddr::new(0), AccessKind::Write, Cycle::ZERO)
             .unwrap();
         let mut reg = ia_telemetry::Registry::new();
@@ -711,7 +675,6 @@ mod tests {
         let snap = reg.snapshot(0);
         assert_eq!(snap.counter("dram.writes"), Some(1));
         assert_eq!(snap.counter("dram.energy.bursts"), Some(1));
-        assert_eq!(snap.counter("dram.trace_recorded"), Some(2));
         assert!(snap.gauge("dram.energy.io_pj").unwrap() > 0.0);
     }
 

@@ -2,7 +2,7 @@
 
 use crate::error::{IssueError, IssueErrorReason};
 use crate::flat::BankStates;
-use crate::{Bank, Command, Cycle, IssueOutcome, TimingParams};
+use crate::{Command, Cycle, IssueOutcome, TimingParams};
 
 /// Fixed-size ring of the most recent activate issue times, sized to the
 /// tFAW window (four activates). Replaces an unbounded `VecDeque`: the
@@ -82,18 +82,6 @@ impl Rank {
     #[must_use]
     pub fn bank_count(&self) -> usize {
         self.banks.len()
-    }
-
-    /// Snapshot view of a bank (a copy of its state; cold path — hot
-    /// callers use [`Rank::open_row`] / [`Rank::row_buffer_outcome`]
-    /// directly on the flat state).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank` is out of range.
-    #[must_use]
-    pub fn bank(&self, bank: usize) -> Bank {
-        Bank::from_states(&self.banks, bank)
     }
 
     /// The flat per-bank state store.
@@ -353,8 +341,8 @@ mod tests {
         let at = rank.ready_at(1, &Command::Activate { row: 4 }, &t);
         rank.issue(1, Command::Activate { row: 4 }, at, &t).unwrap();
         assert_eq!(rank.activation_counts(), vec![0, 1, 0]);
-        assert_eq!(rank.bank(1).activations(), 1);
-        assert_eq!(rank.bank(1).open_row(), Some(4));
+        assert_eq!(rank.bank_states().activations(1), 1);
+        assert_eq!(rank.open_row(1), Some(4));
         assert_eq!(rank.open_row(0), None);
     }
 

@@ -12,7 +12,7 @@ use std::fmt;
 use ia_dram::{Command, ConfigError, Cycle, DramConfig, DramModule};
 use ia_reliability::Raidr;
 use ia_sim::{Clocked, CompletionSink, EngineStats, SimLoop, StepOutcome};
-use ia_telemetry::{Histogram, MetricSource, Scope, TraceBuffer};
+use ia_telemetry::{Histogram, MetricSource, Scope};
 use ia_trace::{TraceLog, Tracer};
 
 use crate::error::CtrlError;
@@ -20,19 +20,6 @@ use crate::pool::{IssueView, RequestQueue, ViewMode};
 use crate::reliability::{ReliabilityPipeline, ReliabilityReport};
 use crate::request::{Completed, MemRequest, Pending};
 use crate::scheduler::Scheduler;
-
-/// One scheduler decision as captured by the controller's trace buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedEvent {
-    /// Cycle of the decision.
-    pub at: Cycle,
-    /// Id of the request the command serves.
-    pub request: u64,
-    /// Thread that issued the request.
-    pub thread: usize,
-    /// The DRAM command issued on its behalf.
-    pub cmd: Command,
-}
 
 /// How the controller refreshes the devices.
 #[derive(Debug, Clone)]
@@ -231,7 +218,6 @@ pub struct MemoryController {
     sched_prep: u64,
     sched_idle: u64,
     engine: EngineStats,
-    trace: TraceBuffer<SchedEvent>,
     /// Cycle-attribution tracer (track `"ctrl"`): every simulated cycle
     /// is classified into exactly one phase, so the profile partition
     /// sums to the run's total cycles. Disabled by default — each trace
@@ -276,7 +262,6 @@ impl MemoryController {
             sched_prep: 0,
             sched_idle: 0,
             engine: EngineStats::default(),
-            trace: TraceBuffer::disabled(),
             tracer: Tracer::disabled(),
             reliability: None,
             quiet: false,
@@ -375,19 +360,6 @@ impl MemoryController {
     #[must_use]
     pub fn queue_depth_histogram(&self) -> &Histogram {
         &self.queue_depth
-    }
-
-    /// Enables scheduler-decision tracing into a bounded ring of
-    /// `capacity` events. Off by default; one branch per issued command.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::new(capacity);
-    }
-
-    /// The scheduler-decision trace (empty unless
-    /// [`enable_trace`](MemoryController::enable_trace) was called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceBuffer<SchedEvent> {
-        &self.trace
     }
 
     /// Enables cycle-attribution tracing on this controller (track
@@ -543,12 +515,6 @@ impl MemoryController {
                         } else {
                             self.sched_prep += 1;
                         }
-                        self.trace.record_with(|| SchedEvent {
-                            at: now,
-                            request: p.request.id,
-                            thread: p.request.thread,
-                            cmd,
-                        });
                         self.scheduler.on_issue(column, self.now);
                         if column {
                             self.stats.busy_cycles += 1;
@@ -802,8 +768,6 @@ impl MetricSource for MemoryController {
         scope.set_counter("sched_column", self.sched_column);
         scope.set_counter("sched_prep", self.sched_prep);
         scope.set_counter("sched_stalled", self.sched_idle);
-        scope.set_counter("trace_recorded", self.trace.recorded());
-        scope.set_counter("trace_dropped", self.trace.dropped());
         scope.collect("engine", &self.engine);
         scope.collect("dram", &self.dram);
         if let Some(rel) = &self.reliability {
@@ -1444,19 +1408,5 @@ mod tests {
             phase_totals(&ot),
             "skip bulk-marks must attribute exactly what per-cycle marks do"
         );
-    }
-
-    #[test]
-    fn scheduler_trace_records_decisions_when_enabled() {
-        let mut ctrl =
-            MemoryController::new(DramConfig::ddr3_1600(), Box::new(FrFcfs::new())).unwrap();
-        ctrl.enable_trace(8);
-        ctrl.enqueue(MemRequest::read(0, 0)).unwrap();
-        ctrl.run_until_drained(10_000);
-        let cmds: Vec<Command> = ctrl.trace().iter().map(|e| e.cmd).collect();
-        assert_eq!(cmds.len(), 2, "miss = ACT then RD");
-        assert!(matches!(cmds[0], Command::Activate { .. }));
-        assert!(matches!(cmds[1], Command::Read { .. }));
-        assert!(ctrl.trace().iter().all(|e| e.request == 1));
     }
 }

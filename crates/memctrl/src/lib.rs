@@ -51,7 +51,7 @@ pub mod scheduler;
 
 pub use controller::{
     run_closed_loop, run_closed_loop_per_cycle, run_closed_loop_with, CtrlStats, MemoryController,
-    RefreshMode, RunReport, SchedEvent, ThreadReport,
+    RefreshMode, RunReport, ThreadReport,
 };
 pub use error::CtrlError;
 pub use hybrid::{HybridMemory, HybridTiming, PlacementPolicy};

@@ -84,20 +84,6 @@ pub trait Scheduler: std::fmt::Debug + Send {
     }
 }
 
-/// Indices of queued requests whose next command can issue at `now`.
-#[must_use]
-pub fn issuable_now(queue: &[Pending], dram: &DramModule, now: Cycle) -> Vec<usize> {
-    queue
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| {
-            let cmd = dram.next_needed(&p.loc, p.request.kind);
-            dram.ready_at(&p.loc, &cmd) <= now
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Whether the request's next command is a column command (row-buffer hit).
 #[must_use]
 pub fn is_row_hit(p: &Pending, dram: &DramModule) -> bool {
@@ -124,11 +110,12 @@ pub struct LinearIssueView {
     pub row_hits: usize,
 }
 
-/// Builds the [`LinearIssueView`] for `queue` at `now`: [`issuable_now`]
-/// minus row-closing precharges to banks that still have pending row hits
-/// in the queue — the open-page rule every locality-respecting scheduler
-/// follows (a row with outstanding hits is not closed just because its
-/// next burst is a few cycles away).
+/// Builds the [`LinearIssueView`] for `queue` at `now`: the requests
+/// whose next command can issue at `now`, minus row-closing precharges
+/// to banks that still have pending row hits in the queue — the
+/// open-page rule every locality-respecting scheduler follows (a row
+/// with outstanding hits is not closed just because its next burst is a
+/// few cycles away).
 #[must_use]
 pub fn linear_issue_view(queue: &[Pending], dram: &DramModule, now: Cycle) -> LinearIssueView {
     let geo = &dram.config().geometry;
@@ -170,17 +157,6 @@ pub fn linear_issue_view(queue: &[Pending], dram: &DramModule, now: Cycle) -> Li
     }
     ready.sort_unstable_by_key(|&(i, _)| i);
     LinearIssueView { ready, row_hits }
-}
-
-/// [`linear_issue_view`]'s issuable indices alone, for callers that do
-/// not need the row-hit flags.
-#[must_use]
-pub fn issuable_open_page(queue: &[Pending], dram: &DramModule, now: Cycle) -> Vec<usize> {
-    linear_issue_view(queue, dram, now)
-        .ready
-        .into_iter()
-        .map(|(i, _)| i)
-        .collect()
 }
 
 /// Strict in-order first-come first-served: always serves the oldest
@@ -345,19 +321,6 @@ mod tests {
         let view = view_of(&mut empty, &dram, Cycle::ZERO, ViewMode::Frontier);
         assert!(Fcfs::new().select(&empty, &view).is_none());
         assert!(FrFcfs::new().select(&empty, &view).is_none());
-    }
-
-    #[test]
-    fn issuable_now_respects_timing() {
-        let (dram, _) = setup();
-        let geo = dram.config().geometry;
-        let row_stride = geo.row_bytes
-            * (geo.banks_per_group * geo.bank_groups * geo.ranks * geo.channels) as u64;
-        let queue = vec![mk(&dram, 1, row_stride, 0), mk(&dram, 2, 128, 5)];
-        // Immediately after the warm-up access, the bank is still within
-        // tRAS/tRTP windows; at a late cycle everything is issuable.
-        let late = issuable_now(&queue, &dram, Cycle::new(10_000));
-        assert_eq!(late.len(), 2);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   same per pick (the linear scan it replaced scaled 32×).
 //! * **dram-timing-check** — one [`DramModule::bank_gates`] probe, the
 //!   per-bank query `build_view` and `next_event_at` are built from.
-//! * **wheel-insert-pop** — an [`EventWheel`] schedule/pop cycle, the
-//!   engine's O(1) next-event machinery.
 //! * **noc-route-flit** — one [`RouteTable`] XY lookup plus a
 //!   productive-port query, the per-flit work of the mesh hot loop.
 //! * **lint-parse-workspace** — one full ia-lint front-end pass (lex,
@@ -66,7 +64,6 @@ use ia_lint::parser::{parse_items, Item};
 use ia_memctrl::{FrFcfs, IssueView, MemRequest, Pending, RequestQueue, Scheduler, ViewMode};
 use ia_noc::{MeshConfig, RouteTable};
 use ia_prefetch::{GhbPrefetcher, PrefetchHarness, Prefetcher, StridePrefetcher};
-use ia_sim::EventWheel;
 use ia_telemetry::JsonValue;
 
 /// One timed repetition: deterministic op count and checksum, plus the
@@ -212,33 +209,6 @@ fn dram_timing_check(iters: u64) -> Sample {
         checksum,
         ns,
     }
-}
-
-/// One wheel pop + reschedule per iteration over a steady population of
-/// 64 events — the engine's next-event machinery under load.
-fn wheel_insert_pop(iters: u64) -> Sample {
-    let mut wheel = EventWheel::new(4_096);
-    for i in 0..64u64 {
-        wheel.schedule(Cycle::new(i * 7 % 97), i as u32);
-    }
-    let mut due = Vec::new();
-    let mut ops = 0u64;
-    let mut checksum = 0u64;
-    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
-    let start = Instant::now();
-    for _ in 0..iters {
-        // lint: allow(P001, the population is rescheduled every pop, never empty)
-        let at = wheel.next_event_at().expect("population never drains");
-        due.clear();
-        wheel.take_due(at, &mut due);
-        for (j, &id) in due.iter().enumerate() {
-            checksum = fold(checksum, u64::from(id));
-            wheel.schedule(at + 3 + (u64::from(id) * 13 + j as u64) % 61, id);
-        }
-        ops += due.len() as u64;
-    }
-    let ns = start.elapsed().as_nanos();
-    Sample { ops, checksum, ns }
 }
 
 /// One XY route lookup + productive-port query per op on an 8×8 mesh —
@@ -445,10 +415,6 @@ pub fn benches() -> Vec<Bench> {
         Bench {
             name: "dram_timing_check",
             run: dram_timing_check,
-        },
-        Bench {
-            name: "wheel_insert_pop",
-            run: wheel_insert_pop,
         },
         Bench {
             name: "noc_route_flit",

@@ -12,9 +12,9 @@
 //!   [`Snapshot::merge`], so per-interval rates (row-hit rate per 100k
 //!   cycles, requests per epoch) can be observed the same way the RL
 //!   memory controller observes its state.
-//! * [`TraceBuffer`] — a bounded ring buffer for command-level event
-//!   tracing with drop counting; the disabled path is one branch on a
-//!   `bool` and never allocates.
+//! * [`TraceBuffer`] — a bounded ring buffer with drop counting that
+//!   backs `ia-trace`'s event ring; the disabled path is one branch and
+//!   never allocates.
 //! * [`JsonValue`] / [`csv`] — hand-rolled machine-readable emitters
 //!   (and a JSON parser for round-trip verification); the build is
 //!   offline, so serde is unavailable by design.

@@ -1,9 +1,8 @@
-//! A bounded ring-buffer [`TraceBuffer`] for command-level event tracing
-//! (DRAM command, cycle, bank/row …) with drop counting.
+//! A bounded ring-buffer [`TraceBuffer`] with drop counting: the event
+//! ring behind `ia-trace`'s `Tracer`.
 //!
-//! The disabled path is one branch on a `bool` — no allocation, no event
-//! construction cost when used through [`TraceBuffer::record_with`] — so
-//! a trace point can sit inside the per-cycle hot loop.
+//! The disabled path is one branch — no allocation — so a trace point
+//! can sit inside the per-cycle hot loop.
 
 /// A fixed-capacity ring buffer of trace events.
 ///
@@ -28,7 +27,6 @@ pub struct TraceBuffer<T> {
     /// Index of the oldest element once the buffer has wrapped.
     head: usize,
     capacity: usize,
-    enabled: bool,
     dropped: u64,
     recorded: u64,
 }
@@ -47,7 +45,6 @@ impl<T> TraceBuffer<T> {
             buf: Vec::with_capacity(capacity),
             head: 0,
             capacity,
-            enabled: capacity > 0,
             dropped: 0,
             recorded: 0,
         }
@@ -61,28 +58,21 @@ impl<T> TraceBuffer<T> {
             buf: Vec::new(),
             head: 0,
             capacity: 0,
-            enabled: false,
             dropped: 0,
             recorded: 0,
         }
     }
 
-    /// Whether events are currently captured. Check this before building
-    /// an expensive event by hand; [`TraceBuffer::record_with`] does it
-    /// for you.
+    /// Whether events are captured (any non-zero capacity). Check this
+    /// before building an expensive event.
     #[must_use]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.capacity > 0
     }
 
-    /// Pauses / resumes capture (capacity is kept).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on && self.capacity > 0;
-    }
-
-    /// Records an already-built event.
+    /// Records an event (a no-op on a disabled buffer).
     pub fn push(&mut self, event: T) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         if self.buf.len() < self.capacity {
@@ -93,14 +83,6 @@ impl<T> TraceBuffer<T> {
             self.dropped += 1;
         }
         self.recorded += 1;
-    }
-
-    /// Records the event produced by `make` — but only calls `make` when
-    /// enabled, keeping the disabled path to one branch.
-    pub fn record_with(&mut self, make: impl FnOnce() -> T) {
-        if self.enabled {
-            self.push(make());
-        }
     }
 
     /// Events currently held (≤ capacity).
@@ -173,7 +155,7 @@ mod tests {
     fn disabled_path_never_allocates() {
         let mut t: TraceBuffer<[u64; 4]> = TraceBuffer::disabled();
         for i in 0..1_000_000u64 {
-            t.record_with(|| [i; 4]);
+            t.push([i; 4]);
         }
         assert_eq!(t.heap_capacity(), 0, "disabled buffer must not allocate");
         assert_eq!(t.len(), 0);
@@ -182,20 +164,8 @@ mod tests {
     }
 
     #[test]
-    fn enable_disable_toggles_capture() {
-        let mut t = TraceBuffer::new(4);
-        t.push(1u32);
-        t.set_enabled(false);
-        t.push(2);
-        t.set_enabled(true);
-        t.push(3);
-        assert_eq!(t.iter().copied().collect::<Vec<_>>(), vec![1, 3]);
-    }
-
-    #[test]
     fn zero_capacity_stays_disabled() {
         let mut t = TraceBuffer::new(0);
-        t.set_enabled(true); // cannot enable without capacity
         t.push(9u8);
         assert!(t.is_empty());
         assert!(!t.is_enabled());
@@ -245,23 +215,5 @@ mod tests {
         t.push(4);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.iter().copied().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn drop_accounting_survives_disable_and_reenable() {
-        let mut t = TraceBuffer::new(2);
-        for i in 0..5u64 {
-            t.push(i); // 3 drops
-        }
-        t.set_enabled(false);
-        t.push(99); // ignored: neither recorded nor dropped
-        assert_eq!(t.recorded(), 5);
-        assert_eq!(t.dropped(), 3);
-        t.set_enabled(true);
-        t.push(6);
-        t.push(7);
-        assert_eq!(t.recorded(), 7);
-        assert_eq!(t.dropped(), 5, "totals keep accumulating after re-enable");
-        assert_eq!(t.iter().copied().collect::<Vec<_>>(), vec![6, 7]);
     }
 }

@@ -100,9 +100,6 @@ diff "$fuzz_dir/rec.txt" "$fuzz_dir/rep.txt"
 echo "== SimLoop watchdog (stalled components become structured errors)"
 cargo test -q -p ia-sim watchdog
 
-echo "== event wheel vs per-cycle scan (order-equivalence property)"
-cargo test -q -p ia-sim --test wheel_equivalence
-
 echo "== indexed ready-lists vs linear scan (scheduler pick equivalence)"
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
 
@@ -116,6 +113,11 @@ for key in bench iters ops checksum; do
     grep -q "\"$key\":" "$micro_dir/micro.json" \
         || { echo "BENCH_MICRO schema: missing key $key"; exit 1; }
 done
+
+echo "== microbench checksums (byte-identical to the checked-in BENCH_MICRO.json)"
+cargo run -q --release -p ia-microbench --bin microbench -- \
+    --iters 4096 --k 1 --json "$micro_dir/checksums.json" > /dev/null
+diff "$micro_dir/checksums.json" BENCH_MICRO.json
 
 echo "== warm-fork vs cold construction (snapshot bit-identity)"
 cargo test -q -p ia-memctrl --test snapshot_fork
