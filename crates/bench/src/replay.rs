@@ -6,7 +6,7 @@
 //! all run **serially, before any parallel fan-out** — so recording and
 //! replaying are deterministic at every `--threads` setting, and the
 //! replayed run's canonical report is byte-identical to the generated
-//! run's. The default path costs one relaxed atomic load per workload
+//! run's. The default path costs one uncontended lock per workload
 //! construction.
 //!
 //! One session file can hold several workloads (an experiment may build
@@ -17,48 +17,41 @@
 //! falls back to generating — the workload seed makes that equivalent —
 //! and says so on stderr.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use ia_memctrl::MemRequest;
 use ia_tracefmt::{TraceError, TraceReader, TraceWriter};
 
-const OFF: u8 = 0;
-const RECORD: u8 = 1;
-const REPLAY: u8 = 2;
+/// One workload: a request list per thread.
+type Workload = Vec<Vec<MemRequest>>;
 
-static MODE: AtomicU8 = AtomicU8::new(OFF);
-static STATE: Mutex<State> = Mutex::new(State::empty());
+static SESSION: Mutex<Session> = Mutex::new(Session::Off);
 
-struct State {
-    /// Record mode: segments captured so far, with the seed of the first.
-    recorded: Vec<Vec<Vec<MemRequest>>>,
-    first_seed: u64,
-    /// Replay mode: decoded segments and the next one to hand out.
-    segments: Vec<Vec<Vec<MemRequest>>>,
-    next: usize,
+enum Session {
+    Off,
+    /// Segments captured so far, with the generator seed of the first.
+    Record {
+        recorded: Vec<Workload>,
+        first_seed: u64,
+    },
+    /// Decoded segments and the next one to hand out.
+    Replay {
+        segments: Vec<Workload>,
+        next: usize,
+    },
 }
 
-impl State {
-    const fn empty() -> Self {
-        State {
-            recorded: Vec::new(),
-            first_seed: 0,
-            segments: Vec::new(),
-            next: 0,
-        }
-    }
-}
-
-fn state() -> std::sync::MutexGuard<'static, State> {
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
+fn session() -> MutexGuard<'static, Session> {
+    SESSION.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Arms record mode: every subsequent [`intercept`] captures its
 /// workload. Seal with [`finish_record`].
 pub fn start_record() {
-    *state() = State::empty();
-    MODE.store(RECORD, Ordering::Release);
+    *session() = Session::Record {
+        recorded: Vec::new(),
+        first_seed: 0,
+    };
 }
 
 /// Loads `path` and arms replay mode: subsequent [`intercept`] calls
@@ -71,7 +64,7 @@ pub fn start_replay(path: &str) -> Result<(), TraceError> {
     let reader = TraceReader::from_path(path)?;
     // Split the flat record list into segments on the `at` tag (see
     // module docs), preserving file order within each.
-    let mut segments: Vec<Vec<Vec<MemRequest>>> = Vec::new();
+    let mut segments: Vec<Workload> = Vec::new();
     let mut current: Vec<ia_tracefmt::TraceRecord> = Vec::new();
     let mut current_at: Option<u64> = None;
     for rec in reader.records() {
@@ -85,10 +78,7 @@ pub fn start_replay(path: &str) -> Result<(), TraceError> {
     if !current.is_empty() {
         segments.push(ia_memctrl::workload_from_records(&current));
     }
-    let mut s = state();
-    *s = State::empty();
-    s.segments = segments;
-    MODE.store(REPLAY, Ordering::Release);
+    *session() = Session::Replay { segments, next: 0 };
     ia_memctrl::set_replay_context(ia_memctrl::ReplayContext {
         trace_path: Some(path.to_owned()),
         fault_seed: None,
@@ -99,34 +89,42 @@ pub fn start_replay(path: &str) -> Result<(), TraceError> {
 /// The interception point, called by every workload-construction site:
 /// returns `make()` when the session is off or recording (capturing a
 /// copy in the latter case), or the next recorded segment when
-/// replaying.
-pub fn intercept(seed: u64, make: impl FnOnce() -> Vec<Vec<MemRequest>>) -> Vec<Vec<MemRequest>> {
-    match MODE.load(Ordering::Acquire) {
-        RECORD => {
+/// replaying. `make` runs with the session unlocked.
+pub fn intercept(seed: u64, make: impl FnOnce() -> Workload) -> Workload {
+    let mut s = session();
+    match &mut *s {
+        Session::Off => {
+            drop(s);
+            make()
+        }
+        Session::Record { .. } => {
+            drop(s);
             let workload = make();
-            let mut s = state();
-            if s.recorded.is_empty() {
-                s.first_seed = seed;
+            if let Session::Record {
+                recorded,
+                first_seed,
+            } = &mut *session()
+            {
+                if recorded.is_empty() {
+                    *first_seed = seed;
+                }
+                recorded.push(workload.clone());
             }
-            s.recorded.push(workload.clone());
             workload
         }
-        REPLAY => {
-            let mut s = state();
-            if let Some(segment) = s.segments.get(s.next) {
+        Session::Replay { segments, next } => {
+            if let Some(segment) = segments.get(*next) {
                 let segment = segment.clone();
-                s.next += 1;
-                segment
-            } else {
-                drop(s);
-                eprintln!(
-                    "warning: replay trace has no segment for this workload \
-                     (seed {seed:#x}); generating instead"
-                );
-                make()
+                *next += 1;
+                return segment;
             }
+            drop(s);
+            eprintln!(
+                "warning: replay trace has no segment for this workload \
+                 (seed {seed:#x}); generating instead"
+            );
+            make()
         }
-        _ => make(),
     }
 }
 
@@ -138,10 +136,15 @@ pub fn intercept(seed: u64, make: impl FnOnce() -> Vec<Vec<MemRequest>>) -> Vec<
 ///
 /// [`TraceError::Io`] if the file cannot be written.
 pub fn finish_record(path: &str) -> Result<(), TraceError> {
-    MODE.store(OFF, Ordering::Release);
-    let s = std::mem::replace(&mut *state(), State::empty());
-    let mut w = TraceWriter::new(s.first_seed);
-    for (i, segment) in s.recorded.iter().enumerate() {
+    let (recorded, first_seed) = match std::mem::replace(&mut *session(), Session::Off) {
+        Session::Record {
+            recorded,
+            first_seed,
+        } => (recorded, first_seed),
+        Session::Off | Session::Replay { .. } => (Vec::new(), 0),
+    };
+    let mut w = TraceWriter::new(first_seed);
+    for (i, segment) in recorded.iter().enumerate() {
         ia_memctrl::record_workload(segment, i as u64, &mut w);
     }
     w.write_to_path(path)

@@ -21,8 +21,7 @@
 //! * `--replay-trace <path>` — drive the run from a recorded artifact
 //!   instead of generating workloads (mutually exclusive with
 //!   `--record-trace`);
-//! * `--profile` — print the cycle-attribution profile and a `trace.*`
-//!   telemetry snapshot to stderr.
+//! * `--profile` — print the cycle-attribution profile to stderr.
 //!
 //! Unknown flags and flags missing their value are rejected with exit
 //! status `2`, so sweep scripts fail loudly instead of silently running
@@ -457,17 +456,10 @@ pub fn exit_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Renders the cycle-attribution profile of `log` plus a `trace.*`
-/// telemetry snapshot, for the `--profile` stderr block.
+/// Renders the cycle-attribution profile of `log`, for the `--profile`
+/// stderr block.
 fn profile_text(log: &ia_trace::TraceLog) -> String {
-    let profile = ia_trace::Profile::from_log(log);
-    let mut reg = ia_telemetry::Registry::new();
-    reg.collect("trace.profile", &profile);
-    let mut out = profile.to_text();
-    for (name, value) in reg.iter() {
-        out.push_str(&format!("[trace] {name}={}\n", value.scalar()));
-    }
-    out
+    ia_trace::Profile::from_log(log).to_text()
 }
 
 /// Writes `text` to `path`, or reports the failure on stderr and exits
@@ -669,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_text_reports_attribution_and_telemetry() {
+    fn profile_text_reports_attribution() {
         let mut tracer = ia_trace::Tracer::new("ctrl", 16);
         tracer.mark("sched.issue", 0);
         tracer.mark_n("dram.burst", 1, 9);
@@ -678,10 +670,6 @@ mod tests {
         let text = profile_text(&log);
         assert!(
             text.contains("[profile] attributed 10 simulated cycles"),
-            "{text}"
-        );
-        assert!(
-            text.contains("[trace] trace.profile.attributed_cycles=10"),
             "{text}"
         );
     }

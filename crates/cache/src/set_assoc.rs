@@ -84,16 +84,6 @@ impl CacheStats {
     }
 }
 
-impl ia_telemetry::MetricSource for CacheStats {
-    fn export_into(&self, scope: &mut ia_telemetry::Scope<'_>) {
-        scope.set_counter("hits", self.hits);
-        scope.set_counter("misses", self.misses);
-        scope.set_counter("evictions", self.evictions);
-        scope.set_counter("writebacks", self.writebacks);
-        scope.set_gauge("hit_rate", self.hit_rate());
-    }
-}
-
 /// Tag of an empty way. A real tag equals it only when the line size
 /// and the set count are both 1 and the address is `u64::MAX`; only then
 /// does a lookup also check the way's stamp.
@@ -378,7 +368,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_merge_and_export() {
+    fn stats_merge_and_hit_rate() {
         let mut c = tiny();
         c.access(0x0, CacheOp::Read);
         c.access(0x0, CacheOp::Read);
@@ -388,12 +378,9 @@ mod tests {
         total.merge(c.stats());
         assert_eq!(total.accesses(), 6);
 
-        let mut reg = ia_telemetry::Registry::new();
-        reg.collect("llc", c.stats());
-        let snap = reg.snapshot(0);
-        assert_eq!(snap.counter("llc.hits"), Some(1));
-        assert_eq!(snap.counter("llc.misses"), Some(2));
-        assert!((snap.gauge("llc.hit_rate").unwrap() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(c.stats().hits, 1);
+        assert_eq!(c.stats().misses, 2);
+        assert!((c.stats().hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     fn tiny() -> Cache {

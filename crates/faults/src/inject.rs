@@ -77,7 +77,7 @@ impl FlipMask {
 }
 
 /// Lifetime counters for one injector, broken out per mechanism.
-/// `ia-memctrl` mirrors these into its telemetry scope.
+/// `ia-memctrl` reports them beside its pipeline's decision counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// RowHammer victim bits newly flipped.

@@ -9,7 +9,6 @@
 //! `Display` appends the active context automatically, so every consumer
 //! of the error string gets the repro pointer for free.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use ia_dram::AccessKind;
@@ -32,15 +31,13 @@ impl ReplayContext {
     }
 }
 
-static CONTEXT_SET: AtomicBool = AtomicBool::new(false);
 static CONTEXT: Mutex<Option<ReplayContext>> = Mutex::new(None);
 
 /// Installs the process-wide replay context. Pass what is known — a
 /// trace path, a fault seed, or both; an all-`None` context clears.
 pub fn set_replay_context(ctx: ReplayContext) {
-    let empty = ctx.is_empty();
-    *CONTEXT.lock().unwrap_or_else(PoisonError::into_inner) = if empty { None } else { Some(ctx) };
-    CONTEXT_SET.store(!empty, Ordering::Release);
+    *CONTEXT.lock().unwrap_or_else(PoisonError::into_inner) =
+        if ctx.is_empty() { None } else { Some(ctx) };
 }
 
 /// Clears the replay context.
@@ -51,18 +48,13 @@ pub fn clear_replay_context() {
 /// The active replay context, if one is installed.
 #[must_use]
 pub fn replay_context() -> Option<ReplayContext> {
-    if !CONTEXT_SET.load(Ordering::Acquire) {
-        return None;
-    }
     CONTEXT
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .clone()
 }
 
-/// The suffix error displays append: empty when no context is set. The
-/// atomic fast path keeps the default (no record/replay) error path free
-/// of lock traffic.
+/// The suffix error displays append: empty when no context is set.
 pub(crate) fn context_suffix() -> String {
     let Some(ctx) = replay_context() else {
         return String::new();

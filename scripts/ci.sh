@@ -62,11 +62,16 @@ cargo test -q --test parallel_determinism
 echo "== --threads 2 smoke run (exercises the multi-worker pool on any host)"
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- --quick --threads 2 > /dev/null
 
-echo "== trace smoke (--trace output byte-identical across --threads)"
+echo "== trace + profile smoke (--trace output byte-identical across --threads)"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
+# --profile rides along on one side only: it renders the captured log to
+# stderr and must not change what is traced.
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
-    --quick --threads 1 --trace "$trace_dir/t1.json" > /dev/null
+    --quick --threads 1 --trace "$trace_dir/t1.json" --profile \
+    > /dev/null 2> "$trace_dir/profile.txt"
+grep -q "^\[profile\] attributed" "$trace_dir/profile.txt" \
+    || { echo "--profile printed no attribution line"; cat "$trace_dir/profile.txt"; exit 1; }
 cargo run -q -p ia-bench --bin exp05_scheduler_suite -- \
     --quick --threads 4 --trace "$trace_dir/t4.json" > /dev/null
 diff "$trace_dir/t1.json" "$trace_dir/t4.json"
