@@ -53,6 +53,11 @@ pub struct DramModule {
     charge_cache: ChargeCacheState,
     inject: InjectLog,
     tracer: Tracer,
+    /// Bumped by every call that can change bank state or timing gates
+    /// ([`issue`](DramModule::issue), [`refresh_rank`](DramModule::refresh_rank),
+    /// [`channel_mut`](DramModule::channel_mut)); see
+    /// [`mutations`](DramModule::mutations).
+    mutations: u64,
 }
 
 impl DramModule {
@@ -76,6 +81,7 @@ impl DramModule {
             charge_cache: ChargeCacheState::new(),
             inject: InjectLog::default(),
             tracer: Tracer::disabled(),
+            mutations: 0,
         })
     }
 
@@ -164,14 +170,6 @@ impl DramModule {
         self.mapping.decode(addr, &self.config.geometry)
     }
 
-    /// The open row in the bank addressed by `loc`, if any.
-    #[must_use]
-    pub fn open_row(&self, loc: &Location) -> Option<u64> {
-        self.channels[loc.channel]
-            .rank(loc.rank)
-            .open_row(self.bank_index(loc))
-    }
-
     fn bank_index(&self, loc: &Location) -> usize {
         loc.bank_group * self.config.geometry.banks_per_group + loc.bank
     }
@@ -231,6 +229,15 @@ impl DramModule {
         }
     }
 
+    /// Mutation counter: changes whenever an open row or a command gate
+    /// may have changed. Two reads that return the same value bracket a
+    /// span in which every [`bank_gates`](DramModule::bank_gates) probe
+    /// answers the same — the key callers cache probes under.
+    #[must_use]
+    pub fn mutations(&self) -> u64 {
+        self.mutations
+    }
+
     /// Earliest cycle at which `cmd` for `loc` satisfies all timing.
     #[must_use]
     pub fn ready_at(&self, loc: &Location, cmd: &Command) -> Cycle {
@@ -244,9 +251,9 @@ impl DramModule {
 
     /// The open row and every command gate of the bank addressed by
     /// `loc`, in one walk of the channel/rank/bank hierarchy. Gate for
-    /// gate equal to [`DramModule::ready_at`] per command kind and to
-    /// [`DramModule::open_row`] — the scheduler's per-bank fast path:
-    /// one probe answers what would otherwise take four.
+    /// gate equal to [`DramModule::ready_at`] per command kind — the
+    /// scheduler's per-bank fast path: one probe answers what would
+    /// otherwise take five queries.
     #[must_use]
     pub fn bank_gates(&self, loc: &Location) -> BankGates {
         self.channels[loc.channel].bank_gates(loc.rank, self.bank_index(loc), &self.config.timing)
@@ -273,6 +280,7 @@ impl DramModule {
         cmd: Command,
         now: Cycle,
     ) -> Result<IssueOutcome, IssueError> {
+        self.mutations += 1;
         let timing = self.effective_timing(loc, &cmd, now);
         let bank_idx = self.bank_index(loc);
         let open_before = self.channels[loc.channel].rank(loc.rank).open_row(bank_idx);
@@ -401,6 +409,7 @@ impl DramModule {
         rank: usize,
         earliest: Cycle,
     ) -> Result<Cycle, IssueError> {
+        self.mutations += 1;
         let timing = self.config.timing;
         let banks = self.config.geometry.banks_per_rank();
         // Close any open banks.
@@ -437,8 +446,10 @@ impl DramModule {
         &self.channels[channel]
     }
 
-    /// Mutable channel access for advanced callers.
+    /// Mutable channel access for advanced callers. Counts as a
+    /// mutation: the caller may change any bank of the channel.
     pub fn channel_mut(&mut self, channel: usize) -> &mut Channel {
+        self.mutations += 1;
         &mut self.channels[channel]
     }
 
@@ -680,6 +691,6 @@ mod tests {
             .access_loc(&loc, AccessKind::Read, Cycle::ZERO)
             .unwrap();
         assert!(a.data_ready > Cycle::ZERO);
-        assert_eq!(dram.open_row(&loc), Some(loc.row));
+        assert_eq!(dram.bank_gates(&loc).open_row, Some(loc.row));
     }
 }

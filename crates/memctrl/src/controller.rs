@@ -207,17 +207,6 @@ pub struct MemoryController {
     /// point costs one branch.
     tracer: Tracer,
     reliability: Option<ReliabilityPipeline>,
-    /// True when the last tick was provably idle (nothing retired, issued,
-    /// or refreshed) and nothing has been enqueued since. Gates the full
-    /// timing scan in `next_event_at`: while work is flowing, the next
-    /// event is simply "now", and computing anything more precise costs
-    /// more than it saves.
-    quiet: bool,
-    /// True when the most recent tick validated the queue's per-bank
-    /// tags (i.e. built a non-[`ViewMode::Skip`] view). Gates the
-    /// O(occupied-banks) timing bound in `next_event_at`; Skip-mode
-    /// schedulers fall back to the per-request scan.
-    tags_current: bool,
 }
 
 impl MemoryController {
@@ -242,8 +231,6 @@ impl MemoryController {
             engine: EngineStats::default(),
             tracer: Tracer::disabled(),
             reliability: None,
-            quiet: false,
-            tags_current: false,
         })
     }
 
@@ -389,7 +376,6 @@ impl MemoryController {
             },
             &self.dram,
         );
-        self.quiet = false;
         Ok(request.id)
     }
 
@@ -458,7 +444,6 @@ impl MemoryController {
         let mode = self.scheduler.view_mode();
         self.queue
             .build_view(&self.dram, self.now, mode, &mut self.view);
-        self.tags_current = mode != ViewMode::Skip;
         if let Some(h) = self.scheduler.select(&self.queue, &self.view) {
             if let Some(&p) = self.queue.get(h) {
                 let cmd = self.dram.next_needed(&p.loc, p.request.kind);
@@ -485,10 +470,13 @@ impl MemoryController {
                 }
             }
         }
-        // A tick that retired nothing, refreshed nothing, and issued
-        // nothing cannot have moved any event earlier: the timing scan in
-        // `next_event_at` is now worth its cost.
-        self.quiet = !issued_this_cycle && !refresh_fired && kept == had_inflight;
+        // Re-probe the queue's gate cache after a command (a no-op when
+        // the DRAM mutation counter did not move), so `next_event_at`
+        // reads an exact wake-up bound. A Skip-mode policy reads only the
+        // head, which needs no cache.
+        if mode != ViewMode::Skip {
+            self.queue.probe(&self.dram);
+        }
 
         // Cycle attribution: classify this cycle into exactly one phase
         // (highest-priority activity wins) so the per-phase totals
@@ -610,61 +598,25 @@ impl Clocked for MemoryController {
     }
 
     /// Earliest cycle at which anything observable can happen: an
-    /// in-flight burst retiring, a refresh slot falling due, or a queued
-    /// request's next DRAM command becoming issuable. While the
-    /// controller idles, all three sources are static, so skipping
+    /// in-flight burst retiring, a refresh slot falling due, or the
+    /// scheduler's next issuable cycle ([`RequestQueue::next_issuable`]:
+    /// the first cycle its view holds a candidate, under the open-page
+    /// rule; for [`ViewMode::Skip`], the head's next command). Exact after
+    /// every tick: each tick re-probes the queue's gate cache, and while
+    /// the controller idles all three sources are static, so skipping
     /// straight to this cycle is exact.
     fn next_event_at(&self) -> Option<Cycle> {
-        let refresh_on = !matches!(self.refresh.mode, RefreshMode::Disabled);
-        if self.inflight.is_empty() && self.queue.is_empty() && !refresh_on {
-            return None;
-        }
-        // While work is flowing (last tick did something observable, or a
-        // request arrived since), "now" is the conservative-early answer
-        // the contract allows — the engine simply ticks again, exactly as
-        // a per-cycle loop would, and the full timing scan below is saved
-        // for genuinely idle stretches where it pays for the skip.
-        if !self.quiet {
-            return Some(self.now);
-        }
-        // The result is clamped to `now`, so any candidate at or before
-        // `now` ends the scan immediately.
-        let mut next: Option<Cycle> = None;
-        for (_, ready) in &self.inflight {
-            if *ready <= self.now {
-                return Some(self.now);
-            }
-            next = Some(next.map_or(*ready, |n| n.min(*ready)));
-        }
-        if refresh_on {
-            let at = self.refresh.next_at;
-            if at <= self.now {
-                return Some(self.now);
-            }
-            next = Some(next.map_or(at, |n| n.min(at)));
-        }
-        if self.tags_current {
-            // The queue's (bank, class) buckets are current — the quiet
-            // tick that got us here validated them against this exact
-            // DRAM state — and timing gates ignore row/column operands,
-            // so the per-request minimum collapses to one bound per
-            // occupied bank class: identical value, O(occupied banks).
-            if let Some(at) = self.queue.next_ready_min(&self.dram) {
-                if at <= self.now {
-                    return Some(self.now);
-                }
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
-        } else {
-            for (_, p) in &self.queue {
-                let at = self.dram.next_ready_for(&p.loc, p.request.kind);
-                if at <= self.now {
-                    return Some(self.now);
-                }
-                next = Some(next.map_or(at, |n| n.min(at)));
-            }
-        }
-        next.map(|n| n.max(self.now))
+        let retire = self.inflight.iter().map(|&(_, ready)| ready).min();
+        let refresh =
+            (!matches!(self.refresh.mode, RefreshMode::Disabled)).then_some(self.refresh.next_at);
+        let issue = self
+            .queue
+            .next_issuable(&self.dram, self.scheduler.view_mode());
+        [retire, refresh, issue]
+            .into_iter()
+            .flatten()
+            .min()
+            .map(|at| at.max(self.now))
     }
 
     /// Applies the bookkeeping the skipped idle ticks would have done, in

@@ -12,29 +12,32 @@
 //! * per-bank **class lists** (`flat_bank` × {hit-read, hit-write,
 //!   other-read, other-write}), each in the same order.
 //!
-//! "Hit" is classified against the bank's cached `tag` — the open row
-//! the bucketing was computed against. Tags are validated **lazily**: a
-//! view build compares each occupied bank's tag with the live DRAM open
-//! row and rebuckets only the banks that changed (issue, refresh,
-//! reliability mutation — any source, no hooks required). Within a
-//! bank, every member of a class needs the same next command, and DRAM
-//! timing depends only on (channel, rank, bank, command kind), so a
-//! class is issuable as a whole and its head is the exact
+//! Each occupied bank also caches one [`DramModule::bank_gates`] probe:
+//! its open row and every command gate. "Hit" is classified against the
+//! cached open row. The cache is **keyed by the DRAM mutation counter**
+//! ([`DramModule::mutations`]): when the counter differs from the one
+//! the cache was filled at, one probe pass (`RequestQueue::probe`)
+//! re-reads every occupied bank and rebuckets the banks whose open row
+//! changed. No caller has to report what it changed. Views and the
+//! wake-up bound ([`RequestQueue::next_issuable`]) read only the cache.
+//! Within a bank, every member of a class needs the same next command,
+//! and DRAM timing depends only on (channel, rank, bank, command kind),
+//! so a class is issuable as a whole and its head is the exact
 //! `(arrival, id)` minimum. That is what makes the **frontier** view
 //! ([`ViewMode::Frontier`]) — class-list heads only — bit-identical to
 //! the legacy full scan for every policy whose sort key is constant
 //! within a class (FR-FCFS and all RL actions), at O(banks) instead of
 //! O(queue-depth) per decision.
 
-use ia_dram::{Cycle, DramModule};
+use ia_dram::{BankGates, Cycle, DramModule, Location};
 
 use crate::request::Pending;
 
 /// Sentinel link ("null pointer") in the intrusive lists.
 const NONE: u32 = u32::MAX;
-/// Sentinel bank tag for "no row open" (rows are bounded by
-/// `rows_per_bank`, so `u64::MAX` is never a real row).
-const NO_ROW: u64 = u64::MAX;
+/// Cache key of a queue that has never probed: no DRAM module counts
+/// that many mutations.
+const NEVER_PROBED: u64 = u64::MAX;
 
 const HIT_READ: usize = 0;
 const HIT_WRITE: usize = 1;
@@ -56,7 +59,9 @@ impl ReqId {
 /// How much of a view a scheduler needs per decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewMode {
-    /// No view at all (FCFS reads the global list head directly).
+    /// No view at all: the policy issues only the global head (FCFS), so
+    /// it reads the list head directly and its wake-up bound is the
+    /// head's [`DramModule::next_ready_for`].
     Skip,
     /// Class-list heads only — exact for policies whose key is constant
     /// within a (bank, class): FR-FCFS, all RL actions.
@@ -111,8 +116,13 @@ struct BankLists {
     head: [u32; 4],
     tail: [u32; 4],
     len: [u32; 4],
-    /// Open row the current bucketing assumed (`NO_ROW` = closed).
-    tag: u64,
+    /// The bank's last probe: its open row (which the bucketing
+    /// assumes) and every command gate. Meaningful only while the bank
+    /// is occupied.
+    gates: BankGates,
+    /// Where to probe: the coordinates of the request that made the
+    /// bank occupied (gates ignore row and column).
+    loc: Location,
     /// Position in `occupied`, `NONE` when the bank holds no requests.
     pos: u32,
 }
@@ -122,7 +132,22 @@ impl BankLists {
         head: [NONE; 4],
         tail: [NONE; 4],
         len: [0; 4],
-        tag: NO_ROW,
+        gates: BankGates {
+            open_row: None,
+            read: Cycle::ZERO,
+            write: Cycle::ZERO,
+            activate: Cycle::ZERO,
+            precharge: Cycle::ZERO,
+        },
+        loc: Location {
+            channel: 0,
+            rank: 0,
+            bank_group: 0,
+            bank: 0,
+            subarray: 0,
+            row: 0,
+            column: 0,
+        },
         pos: NONE,
     };
 
@@ -133,10 +158,55 @@ impl BankLists {
     fn hits(&self) -> u32 {
         self.len[HIT_READ] + self.len[HIT_WRITE]
     }
+
+    /// True when the open-page rule holds the bank's activate/precharge
+    /// classes back: a bank with queued row hits is never closed just
+    /// because its next burst is a few cycles away.
+    fn others_blocked(&self) -> bool {
+        self.gates.open_row.is_some() && self.hits() > 0
+    }
+
+    /// The gate the bank's activate/precharge classes wait on.
+    fn other_gate(&self) -> Cycle {
+        if self.gates.open_row.is_some() {
+            self.gates.precharge
+        } else {
+            self.gates.activate
+        }
+    }
+
+    /// Earliest cycle at which [`RequestQueue::build_view`] emits a
+    /// candidate from this occupied bank, under the cached gates. An
+    /// occupied bank always has one: its hit classes when it has row
+    /// hits, else its activate/precharge classes.
+    fn wake(&self) -> Cycle {
+        let mut at = Cycle::new(u64::MAX);
+        if self.len[HIT_READ] > 0 {
+            at = at.min(self.gates.read);
+        }
+        if self.len[HIT_WRITE] > 0 {
+            at = at.min(self.gates.write);
+        }
+        if (self.len[OTHER_READ] > 0 || self.len[OTHER_WRITE] > 0) && !self.others_blocked() {
+            at = at.min(self.other_gate());
+        }
+        at
+    }
+}
+
+/// The class a request of `row` and kind `read` belongs to when the
+/// bank's open row is `open`.
+fn class_of(open: Option<u64>, row: u64, read: bool) -> usize {
+    match (open == Some(row), read) {
+        (true, true) => HIT_READ,
+        (true, false) => HIT_WRITE,
+        (false, true) => OTHER_READ,
+        (false, false) => OTHER_WRITE,
+    }
 }
 
 /// The indexed request queue. See the module docs for the design.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RequestQueue {
     slots: Vec<Slot>,
     free_head: u32,
@@ -151,8 +221,20 @@ pub struct RequestQueue {
     banks: Vec<BankLists>,
     /// Dense list of bank keys holding at least one request.
     occupied: Vec<u32>,
-    /// Reused rebucket scratch.
-    scratch: Vec<u32>,
+    /// Each occupied bank's wake cycle ([`BankLists::wake`]), parallel
+    /// to `occupied`: the wake-up bound is their minimum, and a view
+    /// build skips every bank still asleep.
+    wake: Vec<Cycle>,
+    /// Queued requests classified as row hits (the view's `row_hits`).
+    row_hits: usize,
+    /// [`DramModule::mutations`] value the gate cache was filled at.
+    probed: u64,
+}
+
+impl Default for RequestQueue {
+    fn default() -> Self {
+        RequestQueue::new()
+    }
 }
 
 impl RequestQueue {
@@ -171,7 +253,9 @@ impl RequestQueue {
             next_seq: 0,
             banks: Vec::new(),
             occupied: Vec::new(),
-            scratch: Vec::new(),
+            wake: Vec::new(),
+            row_hits: 0,
+            probed: NEVER_PROBED,
         }
     }
 
@@ -239,29 +323,25 @@ impl RequestQueue {
         (s.p.arrival, s.p.request.id, s.seq)
     }
 
-    /// Inserts `p`, classifying it against the bank's current tag (or the
-    /// live DRAM open row when the bank was empty). Amortized O(1): the
-    /// ordered insertions walk backward from the tails, and arrivals/ids
-    /// are monotone in normal operation.
+    /// Inserts `p`, classifying it against the bank's cached open row; a
+    /// newly occupied bank is probed first. Amortized O(1): the ordered
+    /// insertions walk backward from the tails, and arrivals/ids are
+    /// monotone in normal operation.
     pub fn insert(&mut self, p: Pending, dram: &DramModule) -> ReqId {
         let bank = p.loc.flat_bank(&dram.config().geometry) as u32;
         if bank as usize >= self.banks.len() {
             self.banks.resize(bank as usize + 1, BankLists::EMPTY);
         }
         if self.banks[bank as usize].pos == NONE {
-            self.banks[bank as usize].tag = dram.open_row(&p.loc).unwrap_or(NO_ROW);
-            self.banks[bank as usize].pos = self.occupied.len() as u32;
+            let b = &mut self.banks[bank as usize];
+            b.gates = dram.bank_gates(&p.loc);
+            b.loc = p.loc;
+            b.pos = self.occupied.len() as u32;
             self.occupied.push(bank);
+            self.wake.push(Cycle::ZERO);
         }
-        let tag = self.banks[bank as usize].tag;
         let read = p.request.kind.is_read();
-        let hit = tag != NO_ROW && p.loc.row == tag;
-        let class = match (hit, read) {
-            (true, true) => HIT_READ,
-            (true, false) => HIT_WRITE,
-            (false, true) => OTHER_READ,
-            (false, false) => OTHER_WRITE,
-        };
+        let class = class_of(self.banks[bank as usize].gates.open_row, p.loc.row, read);
 
         let slot = if self.free_head != NONE {
             let s = self.free_head;
@@ -299,6 +379,7 @@ impl RequestQueue {
         }
         self.link_global(slot);
         self.link_bank(slot, bank, class);
+        self.rewake(bank);
         ReqId(slot)
     }
 
@@ -317,10 +398,13 @@ impl RequestQueue {
             let pos = self.banks[s.bank as usize].pos;
             self.banks[s.bank as usize].pos = NONE;
             self.occupied.swap_remove(pos as usize);
+            self.wake.swap_remove(pos as usize);
             if (pos as usize) < self.occupied.len() {
                 let moved = self.occupied[pos as usize];
                 self.banks[moved as usize].pos = pos;
             }
+        } else {
+            self.rewake(s.bank);
         }
         let st = &mut self.slots[slot as usize];
         st.live = false;
@@ -427,6 +511,9 @@ impl RequestQueue {
             self.slots[next as usize].b_prev = slot;
         }
         self.banks[bank as usize].len[class] += 1;
+        if class == HIT_READ || class == HIT_WRITE {
+            self.row_hits += 1;
+        }
     }
 
     fn unlink_bank(&mut self, slot: u32, bank: u32, class: usize) {
@@ -445,53 +532,89 @@ impl RequestQueue {
             self.slots[next as usize].b_prev = prev;
         }
         self.banks[bank as usize].len[class] -= 1;
+        if class == HIT_READ || class == HIT_WRITE {
+            self.row_hits -= 1;
+        }
     }
 
-    /// Rebuckets every member of `bank` against the new open-row `tag`.
-    /// Called only when a view build finds the cached tag stale, so the
-    /// cost is O(bank members) per actual bank-state change.
-    fn rebucket(&mut self, bank: u32, tag: u64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for class in 0..4 {
-            let mut cur = self.banks[bank as usize].head[class];
-            while cur != NONE {
-                scratch.push(cur);
-                cur = self.slots[cur as usize].b_next;
+    /// Recomputes `bank`'s entry in `wake` from its cached gates.
+    fn rewake(&mut self, bank: u32) {
+        let b = &self.banks[bank as usize];
+        self.wake[b.pos as usize] = b.wake();
+    }
+
+    /// Rebuckets every member of `bank` against its cached open row.
+    /// Called only when a probe finds the open row changed, so the cost
+    /// is O(bank members) per actual bank-state change. A request's kind
+    /// never changes, so each kind's hit and other lists — both already
+    /// in `(arrival, id, seq)` order — are merged and re-split; appending
+    /// in merged order keeps every list ordered without a sort.
+    fn rebucket(&mut self, bank: u32) {
+        let open = self.banks[bank as usize].gates.open_row;
+        for (hit, other, read) in [
+            (HIT_READ, OTHER_READ, true),
+            (HIT_WRITE, OTHER_WRITE, false),
+        ] {
+            let b = &mut self.banks[bank as usize];
+            let (mut x, mut y) = (b.head[hit], b.head[other]);
+            self.row_hits -= b.len[hit] as usize;
+            for class in [hit, other] {
+                b.head[class] = NONE;
+                b.tail[class] = NONE;
+                b.len[class] = 0;
+            }
+            while x != NONE || y != NONE {
+                let take_x = y == NONE || (x != NONE && self.order_key(x) < self.order_key(y));
+                let slot = if take_x { x } else { y };
+                let next = self.slots[slot as usize].b_next;
+                if take_x {
+                    x = next;
+                } else {
+                    y = next;
+                }
+                let class = class_of(open, self.slots[slot as usize].p.loc.row, read);
+                self.slots[slot as usize].class = class as u8;
+                // The slot's key exceeds every key already in the target
+                // list, so link_bank's backward walk stops at the tail.
+                self.link_bank(slot, bank, class);
             }
         }
-        let b = &mut self.banks[bank as usize];
-        b.head = [NONE; 4];
-        b.tail = [NONE; 4];
-        b.len = [0; 4];
-        b.tag = tag;
-        scratch.sort_unstable_by_key(|&s| self.order_key(s));
-        for &slot in &scratch {
-            let p = &self.slots[slot as usize].p;
-            let read = p.request.kind.is_read();
-            let hit = tag != NO_ROW && p.loc.row == tag;
-            let class = match (hit, read) {
-                (true, true) => HIT_READ,
-                (true, false) => HIT_WRITE,
-                (false, true) => OTHER_READ,
-                (false, false) => OTHER_WRITE,
-            };
-            self.slots[slot as usize].class = class as u8;
-            // Appending in sorted order keeps each list ordered; the
-            // backward walk in link_bank terminates immediately.
-            self.link_bank(slot, bank, class);
+    }
+
+    /// Fills the gate cache from `dram` unless it is already keyed to
+    /// `dram`'s current [`DramModule::mutations`] value: one
+    /// [`DramModule::bank_gates`] probe per occupied bank, a rebucket of
+    /// each bank whose open row changed, and the bank's new wake cycle.
+    /// The controller runs it after every command or refresh.
+    pub(crate) fn probe(&mut self, dram: &DramModule) {
+        let key = dram.mutations();
+        if key == self.probed {
+            return;
         }
-        self.scratch = scratch;
+        self.probed = key;
+        for idx in 0..self.occupied.len() {
+            let bank = self.occupied[idx];
+            let b = &mut self.banks[bank as usize];
+            let gates = dram.bank_gates(&b.loc);
+            let moved = gates.open_row != b.gates.open_row;
+            b.gates = gates;
+            if moved {
+                self.rebucket(bank);
+            }
+            self.wake[idx] = self.banks[bank as usize].wake();
+        }
     }
 
     /// Builds the per-cycle [`IssueView`] into `out` (a reused scratch).
     ///
-    /// Validates stale bank tags, then walks only the occupied banks: per
-    /// bank at most three `ready_at` queries (hit-read, hit-write, and
-    /// one shared gate for the activate/precharge classes) decide the
-    /// issuability of whole classes at once. The open-page rule —
-    /// never precharge a bank that still has queued row hits — is the
-    /// bank's own hit-list emptiness, O(1).
+    /// Probes first if the gate cache is not keyed to `dram`'s current
+    /// mutation counter, then walks only the occupied banks whose wake
+    /// cycle has come: per bank at most three cached-gate comparisons
+    /// (hit-read, hit-write, and one shared gate for the
+    /// activate/precharge classes) decide the issuability of whole
+    /// classes at once. The open-page rule — never precharge a bank that
+    /// still has queued row hits — is the bank's own hit-list emptiness,
+    /// O(1).
     pub fn build_view(
         &mut self,
         dram: &DramModule,
@@ -503,87 +626,63 @@ impl RequestQueue {
         if mode == ViewMode::Skip {
             return;
         }
-        // One hierarchy walk per occupied bank ([`DramModule::bank_gates`])
-        // fetches the open row and every command gate at once; the tag
-        // check, hit accounting, and candidate emission all run off that
-        // single probe. Banks are independent, so interleaving a bank's
-        // validation with its emission is identical to two passes.
-        for idx in 0..self.occupied.len() {
-            let bank = self.occupied[idx];
-            let rep = self.representative(bank);
-            let loc = self.slots[rep as usize].p.loc;
-            let gates = dram.bank_gates(&loc);
-            let cur = gates.open_row.unwrap_or(NO_ROW);
-            if cur != self.banks[bank as usize].tag {
-                self.rebucket(bank, cur);
+        self.probe(dram);
+        debug_assert!(
+            self.occupied.iter().zip(&self.wake).all(|(&bank, &wake)| {
+                let b = &self.banks[bank as usize];
+                b.gates == dram.bank_gates(&b.loc) && wake == b.wake()
+            }),
+            "gate cache is stale: DRAM state changed without a mutation-counter bump"
+        );
+        out.row_hits = self.row_hits;
+        for (&bank, &wake) in self.occupied.iter().zip(&self.wake) {
+            if wake > now {
+                continue;
             }
-            let b = self.banks[bank as usize];
-            out.row_hits += b.hits() as usize;
-            let open = b.tag != NO_ROW;
-            if b.len[HIT_READ] > 0 && gates.read <= now {
+            let b = &self.banks[bank as usize];
+            if b.len[HIT_READ] > 0 && b.gates.read <= now {
                 self.emit(out, mode, b.head[HIT_READ], true);
             }
-            if b.len[HIT_WRITE] > 0 && gates.write <= now {
+            if b.len[HIT_WRITE] > 0 && b.gates.write <= now {
                 self.emit(out, mode, b.head[HIT_WRITE], true);
             }
-            if b.len[OTHER_READ] > 0 || b.len[OTHER_WRITE] > 0 {
-                // Open-page rule: a bank with queued row hits is never
-                // closed just because its next burst is a few cycles away.
-                if open && b.hits() > 0 {
-                    continue;
+            if (b.len[OTHER_READ] > 0 || b.len[OTHER_WRITE] > 0)
+                && !b.others_blocked()
+                && b.other_gate() <= now
+            {
+                if b.len[OTHER_READ] > 0 {
+                    self.emit(out, mode, b.head[OTHER_READ], false);
                 }
-                let gate = if open {
-                    gates.precharge
-                } else {
-                    gates.activate
-                };
-                if gate <= now {
-                    if b.len[OTHER_READ] > 0 {
-                        self.emit(out, mode, b.head[OTHER_READ], false);
-                    }
-                    if b.len[OTHER_WRITE] > 0 {
-                        self.emit(out, mode, b.head[OTHER_WRITE], false);
-                    }
+                if b.len[OTHER_WRITE] > 0 {
+                    self.emit(out, mode, b.head[OTHER_WRITE], false);
                 }
             }
         }
     }
 
-    /// Earliest cycle at which any queued request's next DRAM command
-    /// becomes issuable — the same minimum as folding
-    /// [`DramModule::next_ready_for`] over the whole queue, computed in
-    /// O(occupied banks). Timing gates depend on the command *kind*, not
-    /// its row/column operand, so every member of a `(bank, class)`
-    /// bucket shares one gate value and only the class heads need
-    /// querying.
+    /// Earliest cycle at which a policy reading views of `mode` can issue
+    /// a command, or `None` when the queue is empty.
     ///
-    /// Exact only while the per-bank tags are current, i.e. a
-    /// non-[`ViewMode::Skip`] [`RequestQueue::build_view`] ran against
-    /// this DRAM state with no intervening insert or DRAM command; the
-    /// controller guards the call accordingly.
+    /// For [`ViewMode::Skip`] that is the global head's
+    /// [`DramModule::next_ready_for`]. Otherwise it is the first cycle at
+    /// which [`RequestQueue::build_view`] emits a candidate — every
+    /// class gate folded under the open-page rule, so a bank held open by
+    /// its row hits contributes no precharge gate. It is the minimum of
+    /// the occupied banks' cached wake cycles, so it is exact while the
+    /// gate cache is keyed to `dram` (after a view build or probe pass
+    /// against it); a stale cache answers [`Cycle::ZERO`], which a caller
+    /// clamping to its clock reads as "now".
     #[must_use]
-    pub fn next_ready_min(&self, dram: &DramModule) -> Option<Cycle> {
-        let mut next: Option<Cycle> = None;
-        let mut fold = |at: Cycle| next = Some(next.map_or(at, |n| n.min(at)));
-        for &bank in &self.occupied {
-            let b = &self.banks[bank as usize];
-            let loc = &self.slots[self.representative(bank) as usize].p.loc;
-            let gates = dram.bank_gates(loc);
-            if b.len[HIT_READ] > 0 {
-                fold(gates.read);
-            }
-            if b.len[HIT_WRITE] > 0 {
-                fold(gates.write);
-            }
-            if b.len[OTHER_READ] > 0 || b.len[OTHER_WRITE] > 0 {
-                fold(if b.tag != NO_ROW {
-                    gates.precharge
-                } else {
-                    gates.activate
-                });
-            }
+    pub fn next_issuable(&self, dram: &DramModule, mode: ViewMode) -> Option<Cycle> {
+        let head = self.head()?;
+        if mode == ViewMode::Skip {
+            let p = self.req(head);
+            return Some(dram.next_ready_for(&p.loc, p.request.kind));
         }
-        next
+        if self.probed != dram.mutations() {
+            return Some(Cycle::ZERO);
+        }
+        self.wake.iter().min().copied()
     }
 
     fn emit(&self, out: &mut IssueView, mode: ViewMode, head: u32, hit: bool) {
@@ -598,16 +697,6 @@ impl RequestQueue {
                 }
             }
         }
-    }
-
-    fn representative(&self, bank: u32) -> u32 {
-        let b = &self.banks[bank as usize];
-        for class in 0..4 {
-            if b.head[class] != NONE {
-                return b.head[class];
-            }
-        }
-        unreachable!("occupied bank with no members");
     }
 }
 

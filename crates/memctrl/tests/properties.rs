@@ -2,12 +2,16 @@
 //! bounds under every scheduler.
 
 use ia_dram::DramConfig;
+use ia_faults::FaultPlan;
 use ia_memctrl::{
     run_closed_loop, run_closed_loop_per_cycle, run_closed_loop_with, Atlas, Bliss, Fcfs, FrFcfs,
-    MemRequest, MemoryController, ParBs, RefreshMode, RlScheduler, RlSchedulerConfig, Scheduler,
-    Tcm,
+    MemRequest, MemoryController, Mitigation, ParBs, RefreshMode, ReliabilityConfig,
+    ReliabilityPipeline, RlScheduler, RlSchedulerConfig, Scheduler, Tcm,
 };
+use ia_reliability::{Raidr, RetentionModel};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn schedulers(threads: usize) -> Vec<Box<dyn Scheduler>> {
     vec![
@@ -207,6 +211,98 @@ proptest! {
                 fast.engine.events_processed <= slow.cycles + 1,
                 "engine did more ticks than cycles exist"
             );
+        }
+    }
+}
+
+/// DDR3-1600 timing in cycles, but with a 20 µs clock period, so one
+/// 64 ms retention window lasts 3200 cycles, and a REF slot every 624
+/// cycles (3 tRFC). Runs of a few hundred requests then cross RAIDR
+/// windows, where it starts skipping refresh slots.
+fn slow_clock_ddr3() -> DramConfig {
+    let mut config = DramConfig::ddr3_1600();
+    config.timing.tck_ns_x1000 = 20_000_000;
+    config.timing.t_refi = 3 * config.timing.t_rfc;
+    config
+}
+
+/// The two refresh × reliability set-ups of the deep oracle:
+/// all-bank refresh with an ecc-only pipeline, and RAIDR refresh with
+/// the full pipeline (remap and quarantine). Both inject faults from a
+/// plan seeded by `seed`.
+fn deep_controller(sched: Box<dyn Scheduler>, raidr: bool, seed: u64) -> MemoryController {
+    let config = slow_clock_ddr3();
+    let plan = FaultPlan::new(seed)
+        .transient(0.05)
+        .stuck(0.01)
+        .rowhammer(4, 0.5);
+    let (refresh, reliability) = if raidr {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let profile = RetentionModel::typical().profile(8192, &mut rng);
+        let raidr = Raidr::from_profile(&profile).unwrap();
+        (RefreshMode::Raidr(raidr), ReliabilityConfig::full(4))
+    } else {
+        (
+            RefreshMode::AllBank,
+            ReliabilityConfig::tier(Mitigation::EccOnly),
+        )
+    };
+    let pipeline = ReliabilityPipeline::new(reliability, plan, &config.geometry);
+    MemoryController::new(config, sched)
+        .unwrap()
+        .with_refresh_mode(refresh)
+        .with_reliability(pipeline)
+}
+
+proptest! {
+    // Up to 1600 requests per run, each run twice (engine and per-cycle
+    // oracle) for 7 schedulers and 2 set-ups: keep the case count small.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The engine matches the per-cycle oracle where the wake-up bound
+    /// has the most to get wrong: up to 8 threads at window 16 (up to
+    /// 128 queued requests over 8 banks), traces of up to 200 requests,
+    /// all-bank and RAIDR refresh, and ecc-only and full reliability
+    /// pipelines injecting seeded faults.
+    #[test]
+    fn deep_queue_refresh_and_reliability_match_per_cycle_oracle(
+        traces in prop::collection::vec(
+            prop::collection::vec((0u64..(1 << 20), any::<bool>()), 1..201),
+            1..9,
+        ),
+        seed in any::<u64>(),
+    ) {
+        let mem_traces: Vec<Vec<MemRequest>> = traces
+            .iter()
+            .enumerate()
+            .map(|(t, reqs)| {
+                reqs.iter()
+                    .map(|&(addr, w)| {
+                        if w {
+                            MemRequest::write(addr & !63, t)
+                        } else {
+                            MemRequest::read(addr & !63, t)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let threads = traces.len();
+        for raidr in [false, true] {
+            for (fast_sched, slow_sched) in schedulers(threads).into_iter().zip(schedulers(threads)) {
+                let name = fast_sched.name();
+                let fast_ctrl = deep_controller(fast_sched, raidr, seed);
+                let slow_ctrl = deep_controller(slow_sched, raidr, seed);
+                let fast = run_closed_loop_with(fast_ctrl, &mem_traces, 16, 20_000_000).unwrap();
+                let slow = run_closed_loop_per_cycle(slow_ctrl, &mem_traces, 16, 20_000_000).unwrap();
+                prop_assert!(
+                    fast.same_results(&slow),
+                    "{} diverged under cycle skipping (raidr={}):\n event-driven: {:?}\n per-cycle:   {:?}",
+                    name, raidr, fast, slow
+                );
+                let rel = fast.reliability.as_ref().expect("pipeline attached");
+                prop_assert!(rel.stats.reads_checked > 0 || mem_traces.iter().flatten().all(|r| !r.kind.is_read()));
+            }
         }
     }
 }

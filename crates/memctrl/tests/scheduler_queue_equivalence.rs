@@ -2,16 +2,16 @@
 //! lists against the legacy linear scan.
 //!
 //! Drives a [`RequestQueue`] and a [`DramModule`] through random
-//! enqueue / issue / cancel interleavings and checks, at every step,
-//! that the indexed [`RequestQueue::build_view`] agrees with the
-//! retired linear scan (kept as [`linear_issue_view`], the differential
-//! oracle) — same candidate set, same row-hit count, and the same pick
-//! from every scheduler policy — and that the pooled
-//! [`RequestQueue::next_ready_min`] wake-up bound equals the
-//! fold of [`DramModule::next_ready_for`] over the whole queue.
+//! enqueue / issue / cancel / direct-channel-command interleavings and
+//! checks, at every step, that the indexed [`RequestQueue::build_view`]
+//! agrees with the retired linear scan (kept as [`linear_issue_view`],
+//! the differential oracle) — same candidate set, same row-hit count,
+//! and the same pick from every scheduler policy — and that the cached
+//! [`RequestQueue::next_issuable`] wake-up bound equals an independent
+//! per-request fold under the same open-page rule.
 
-use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
-use ia_memctrl::scheduler::linear_issue_view;
+use ia_dram::{Command, Cycle, DramConfig, DramModule, PhysAddr};
+use ia_memctrl::scheduler::{is_row_hit, linear_issue_view};
 use ia_memctrl::{
     Atlas, Bliss, Fcfs, FrFcfs, IssueView, MemRequest, ParBs, Pending, ReqId, RequestQueue,
     RlScheduler, RlSchedulerConfig, Scheduler, Tcm, ViewMode,
@@ -76,6 +76,27 @@ fn as_set(view: &IssueView, queue: &RequestQueue) -> Vec<(u64, bool)> {
     v
 }
 
+/// The wake-up bound the linear oracle implies: the earliest cycle at
+/// which any queued request's next command is legal, leaving out
+/// row-closing precharges to banks with queued row hits — the
+/// open-page rule, applied as [`linear_issue_view`] applies it.
+fn linear_wake_bound(pendings: &[Pending], dram: &DramModule) -> Option<Cycle> {
+    let geo = &dram.config().geometry;
+    let hit_banks: Vec<usize> = pendings
+        .iter()
+        .filter(|p| is_row_hit(p, dram))
+        .map(|p| p.loc.flat_bank(geo))
+        .collect();
+    pendings
+        .iter()
+        .filter_map(|p| {
+            let cmd = dram.next_needed(&p.loc, p.request.kind);
+            let held_open = cmd == Command::Precharge && hit_banks.contains(&p.loc.flat_bank(geo));
+            (!held_open).then(|| dram.ready_at(&p.loc, &cmd))
+        })
+        .min()
+}
+
 /// One differential step: indexed view vs linear oracle on the current
 /// queue and DRAM state.
 fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
@@ -96,16 +117,29 @@ fn check_step(queue: &mut RequestQueue, dram: &DramModule, now: Cycle) {
     );
     prop_assert_eq!(full.row_hits, reference.row_hits, "row-hit counts diverge");
 
-    // build_view just validated every occupied bank's tag against this
-    // exact DRAM state, so the pooled wake-up bound must be exact here.
-    let oracle_min = pendings
-        .iter()
-        .map(|p| dram.next_ready_for(&p.loc, p.request.kind))
-        .min();
+    // build_view just keyed the gate cache to this DRAM state, so the
+    // cached wake-up bound must be exact here — and the view must hold a
+    // candidate at that cycle.
+    let bound = linear_wake_bound(&pendings, dram);
+    for mode in [ViewMode::Frontier, ViewMode::Full] {
+        prop_assert_eq!(
+            queue.next_issuable(dram, mode),
+            bound,
+            "cached wake-up bound diverges from the per-request fold ({:?})",
+            mode
+        );
+    }
+    if let Some(at) = bound {
+        let mut woken = IssueView::default();
+        queue.build_view(dram, at.max(now), ViewMode::Full, &mut woken);
+        prop_assert!(!woken.ready.is_empty(), "no candidate at the wake-up bound");
+    }
     prop_assert_eq!(
-        queue.next_ready_min(dram),
-        oracle_min,
-        "pooled next_ready_min diverges from the per-request fold"
+        queue.next_issuable(dram, ViewMode::Skip),
+        pendings
+            .first()
+            .map(|p| dram.next_ready_for(&p.loc, p.request.kind)),
+        "Skip bound is not the head's next command"
     );
 
     // Every policy must pick identically from its own (possibly
@@ -135,9 +169,9 @@ proptest! {
     // every step of the interleaving, so keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random enqueue/issue/cancel interleavings: the indexed queue and
-    /// the linear oracle agree on the candidate set, the wake-up bound,
-    /// and every scheduler's pick at every step.
+    /// Random enqueue/issue/cancel/channel-command interleavings: the
+    /// indexed queue and the linear oracle agree on the candidate set,
+    /// the wake-up bound, and every scheduler's pick at every step.
     #[test]
     fn indexed_queue_matches_linear_scan_under_interleavings(
         ops in prop::collection::vec(
@@ -169,6 +203,24 @@ proptest! {
                         dram.access(p.request.addr, p.request.kind, now)
                             .unwrap();
                     }
+                }
+                // A command issued straight through `channel_mut`, the way
+                // processing-using-memory sequences drive the banks:
+                // close the addressed bank if it is open, else open it.
+                // Only the DRAM mutation counter tells the queue.
+                3 => {
+                    let loc = dram.decode(PhysAddr::new(addr));
+                    let cmd = if dram.bank_gates(&loc).open_row.is_some() {
+                        Command::Precharge
+                    } else {
+                        Command::Activate { row: loc.row }
+                    };
+                    let at = dram.ready_at(&loc, &cmd).max(now);
+                    let timing = dram.config().timing;
+                    let bank = loc.bank_group * dram.config().geometry.banks_per_group + loc.bank;
+                    dram.channel_mut(loc.channel)
+                        .issue(loc.rank, bank, cmd, at, &timing)
+                        .unwrap();
                 }
                 // Cancel: drop an arbitrary queued request.
                 _ => {

@@ -6,12 +6,21 @@
 //! milliseconds. This crate benches the individual hot paths — the ones
 //! the suite's time actually goes to — at nanosecond resolution:
 //!
-//! * **scheduler-pick** — one `build_view` + FR-FCFS `select` against an
-//!   indexed [`RequestQueue`], at queue depth 8 and 256. The indexed
-//!   queue's promise is depth-independence: both depths should cost the
-//!   same per pick (the linear scan it replaced scaled 32×).
+//! * **build-view** — one Frontier `build_view` against an indexed
+//!   [`RequestQueue`], at queue depth 8 and 256, after a
+//!   [`DramModule::channel_mut`] call that moves the DRAM mutation
+//!   counter: each op pays the full probe pass (one
+//!   [`DramModule::bank_gates`] per occupied bank), not a cache hit. The
+//!   indexed queue's promise is depth-independence: both depths should
+//!   cost about the same per view (the linear scan it replaced scaled
+//!   32×).
+//! * **sched-select** — one FR-FCFS `select` over a fixed Frontier view
+//!   of a depth-256 queue: the scheduler-pick layer on its own.
+//! * **simloop-step** — one [`SimLoop::step`] over a [`MemoryController`]
+//!   kept fed with 16 queued requests: the engine's wake-up query, any
+//!   skip, and one controller tick.
 //! * **dram-timing-check** — one [`DramModule::bank_gates`] probe, the
-//!   per-bank query `build_view` and `next_event_at` are built from.
+//!   per-bank query the queue's gate cache is filled from.
 //! * **noc-route-flit** — one [`RouteTable`] XY lookup plus a
 //!   productive-port query, the per-flit work of the mesh hot loop.
 //! * **lint-parse-workspace** — one full ia-lint front-end pass (lex,
@@ -61,9 +70,13 @@ use ia_dram::{Cycle, DramConfig, DramModule, PhysAddr};
 use ia_lint::context::FileContext;
 use ia_lint::lexer::tokenize;
 use ia_lint::parser::{parse_items, Item};
-use ia_memctrl::{FrFcfs, IssueView, MemRequest, Pending, RequestQueue, Scheduler, ViewMode};
+use ia_memctrl::{
+    Completed, FrFcfs, IssueView, MemRequest, MemoryController, Pending, RequestQueue, Scheduler,
+    ViewMode,
+};
 use ia_noc::{MeshConfig, RouteTable};
 use ia_prefetch::{GhbPrefetcher, PrefetchHarness, Prefetcher, StridePrefetcher};
+use ia_sim::SimLoop;
 use ia_telemetry::JsonValue;
 
 /// One timed repetition: deterministic op count and checksum, plus the
@@ -114,6 +127,22 @@ fn fold(acc: u64, x: u64) -> u64 {
         .rotate_left(17)
 }
 
+/// A module with row 0 open in each of its 8 banks (DDR3-1600), so a
+/// queue over it holds both row hits and held-back conflicts.
+fn dram_with_open_rows() -> DramModule {
+    // lint: allow(P001, ddr3_1600 is a valid preset)
+    let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
+    for i in 0..8u64 {
+        let addr = i * dram.config().geometry.row_bytes;
+        let _ = dram.access(
+            PhysAddr::new(addr),
+            ia_dram::AccessKind::Read,
+            Cycle::new(i),
+        );
+    }
+    dram
+}
+
 /// Builds a request queue of `depth` reads spread over the module's
 /// banks, ids and arrivals monotone — the steady-state picture the
 /// scheduler sees mid-run.
@@ -139,22 +168,56 @@ fn queue_of(depth: u64, dram: &DramModule) -> RequestQueue {
     queue
 }
 
-/// scheduler-pick at a fixed queue depth: one Frontier `build_view` +
-/// FR-FCFS `select` per iteration. The measured cost must track the
-/// *occupied-bank* count, not the queue depth.
-fn sched_pick(depth: u64, iters: u64) -> Sample {
-    // lint: allow(P001, ddr3_1600 is a valid preset)
-    let dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
+/// build-view at a fixed queue depth: one Frontier `build_view` per
+/// iteration, each after a `channel_mut` call that invalidates the
+/// queue's gate cache. The measured cost must track the *occupied-bank*
+/// count, not the queue depth.
+fn sched_build_view(depth: u64, iters: u64) -> Sample {
+    let mut dram = dram_with_open_rows();
     let mut queue = queue_of(depth, &dram);
     let mut view = IssueView::default();
-    let mut sched = FrFcfs::new();
     let now = Cycle::new(1_000);
     let mut checksum = 0u64;
     // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
     let start = Instant::now();
     for _ in 0..iters {
+        // Moves the mutation counter without changing any bank.
+        dram.channel_mut(0);
         queue.build_view(&dram, now, ViewMode::Frontier, &mut view);
         checksum = fold(checksum, view.ready.len() as u64 + 1);
+        checksum = fold(checksum, view.row_hits as u64);
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
+}
+
+/// build-view at depth 8 (one request per bank).
+fn sched_build_view_depth8(iters: u64) -> Sample {
+    sched_build_view(8, iters)
+}
+
+/// build-view at depth 256 (deep, many requests per bank). Per-op cost
+/// must match depth 8 up to the occupied-bank ratio.
+fn sched_build_view_depth256(iters: u64) -> Sample {
+    sched_build_view(256, iters)
+}
+
+/// One FR-FCFS `select` per op over a fixed Frontier view of a
+/// depth-256 queue.
+fn sched_select(iters: u64) -> Sample {
+    let dram = dram_with_open_rows();
+    let mut queue = queue_of(256, &dram);
+    let mut view = IssueView::default();
+    queue.build_view(&dram, Cycle::new(1_000), ViewMode::Frontier, &mut view);
+    let mut sched = FrFcfs::new();
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
         if let Some(id) = sched.select(&queue, &view) {
             checksum = fold(checksum, u64::from(id.index()) + 1);
         }
@@ -167,31 +230,49 @@ fn sched_pick(depth: u64, iters: u64) -> Sample {
     }
 }
 
-/// scheduler-pick at depth 8 (one request per bank).
-fn sched_pick_depth8(iters: u64) -> Sample {
-    sched_pick(8, iters)
-}
-
-/// scheduler-pick at depth 256 (deep, many requests per bank). Per-op
-/// cost must match depth 8 up to the occupied-bank ratio.
-fn sched_pick_depth256(iters: u64) -> Sample {
-    sched_pick(256, iters)
+/// One `SimLoop::step` per op over an FR-FCFS controller that is topped
+/// up to 16 queued reads before each step. Three reads in four walk
+/// consecutive lines (row hits); the fourth lands anywhere in 4 MiB.
+fn simloop_step(iters: u64) -> Sample {
+    let sched = Box::new(FrFcfs::new());
+    // lint: allow(P001, ddr3_1600 is a valid preset)
+    let ctrl = MemoryController::new(DramConfig::ddr3_1600(), sched).expect("valid config");
+    let mut ctrl = ctrl.with_queue_capacity(16);
+    let mut engine = SimLoop::new();
+    let mut done: Vec<Completed> = Vec::new();
+    let deadline = Cycle::new(u64::MAX);
+    let mut next = 0u64;
+    let mut checksum = 0u64;
+    // lint: allow(D002, harness timing around the measured region; JSON carries no wall-clock field)
+    let start = Instant::now();
+    for _ in 0..iters {
+        while ctrl.queue_len() < 16 {
+            let addr = if next % 4 == 3 {
+                fold(0x51A7, next) % (4 << 20)
+            } else {
+                next * 64
+            };
+            let _ = ctrl.enqueue(MemRequest::read(addr & !63, 0));
+            next += 1;
+        }
+        done.clear();
+        let _ = engine.step(&mut ctrl, &mut done, deadline);
+        checksum = fold(checksum, ctrl.now().as_u64());
+        checksum = fold(checksum, done.len() as u64);
+    }
+    let ns = start.elapsed().as_nanos();
+    Sample {
+        ops: iters,
+        checksum,
+        ns,
+    }
 }
 
 /// One `bank_gates` probe per op: the open row plus all four command
 /// gates in a single hierarchy walk.
 fn dram_timing_check(iters: u64) -> Sample {
-    // lint: allow(P001, ddr3_1600 is a valid preset)
-    let mut dram = DramModule::new(DramConfig::ddr3_1600()).expect("valid config");
-    // Touch a few rows so some banks are open and gates are non-zero.
-    for i in 0..8u64 {
-        let addr = i * dram.config().geometry.row_bytes;
-        let _ = dram.access(
-            PhysAddr::new(addr),
-            ia_dram::AccessKind::Read,
-            Cycle::new(i),
-        );
-    }
+    // Open rows, so gates are non-zero.
+    let dram = dram_with_open_rows();
     let locs: Vec<_> = (0..16u64)
         .map(|i| dram.decode(PhysAddr::new(i * dram.config().geometry.row_bytes)))
         .collect();
@@ -405,12 +486,20 @@ fn prefetch_demand_ghb(iters: u64) -> Sample {
 pub fn benches() -> Vec<Bench> {
     vec![
         Bench {
-            name: "sched_pick_depth8",
-            run: sched_pick_depth8,
+            name: "sched_build_view_depth8",
+            run: sched_build_view_depth8,
         },
         Bench {
-            name: "sched_pick_depth256",
-            run: sched_pick_depth256,
+            name: "sched_build_view_depth256",
+            run: sched_build_view_depth256,
+        },
+        Bench {
+            name: "sched_select",
+            run: sched_select,
+        },
+        Bench {
+            name: "simloop_step",
+            run: simloop_step,
         },
         Bench {
             name: "dram_timing_check",
@@ -587,17 +676,35 @@ mod tests {
 
     #[test]
     fn sched_pick_folds_real_work() {
-        // Both depths must emit candidates and pick a request every
-        // iteration (a zero checksum would mean the view came up empty).
-        // The checksums *matching* across depths is fine — the whole
-        // point of the frontier view is that deeper queues over the same
-        // banks produce the same candidate set.
+        // Both view depths must emit candidates every iteration (a zero
+        // checksum would mean the view came up empty), and each op must
+        // pay a probe pass: the view kernel moves the DRAM mutation
+        // counter once per op. The checksums *matching* across depths
+        // is fine — depth 256 only queues conflicts behind each bank's
+        // row hit, which the open-page rule holds back, so both depths
+        // produce the same candidate set. The select kernel must pick
+        // every iteration and the engine kernel must advance the clock.
         let r = run_all(8, 1);
-        let d8 = r.iter().find(|x| x.name == "sched_pick_depth8").unwrap();
-        let d256 = r.iter().find(|x| x.name == "sched_pick_depth256").unwrap();
+        let find = |name: &str| r.iter().find(|x| x.name == name).unwrap();
+        let (d8, d256) = (
+            find("sched_build_view_depth8"),
+            find("sched_build_view_depth256"),
+        );
         assert_eq!(d8.ops, 8);
         assert_eq!(d256.ops, 8);
         assert_ne!(d8.checksum, 0);
         assert_ne!(d256.checksum, 0);
+        assert_ne!(find("sched_select").checksum, 0);
+        assert_ne!(find("simloop_step").checksum, 0);
+
+        let mut dram = dram_with_open_rows();
+        let mut queue = queue_of(256, &dram);
+        let mut view = IssueView::default();
+        let before = dram.mutations();
+        dram.channel_mut(0);
+        assert_ne!(dram.mutations(), before, "channel_mut must invalidate");
+        queue.build_view(&dram, Cycle::new(1_000), ViewMode::Frontier, &mut view);
+        assert_eq!(view.ready.len(), 8, "one row-hit head per bank");
+        assert_eq!(view.row_hits, 8);
     }
 }

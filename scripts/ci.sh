@@ -106,7 +106,12 @@ echo "== SimLoop watchdog (stalled components become structured errors)"
 cargo test -q -p ia-sim watchdog
 
 echo "== indexed ready-lists vs linear scan (scheduler pick equivalence)"
+# Debug build: the gate-cache staleness debug_assert in build_view is live.
 cargo test -q -p ia-memctrl --test scheduler_queue_equivalence
+
+echo "== deep per-cycle oracle (window 16, RAIDR, fault-injecting reliability pipelines)"
+cargo test -q -p ia-memctrl --test properties \
+    deep_queue_refresh_and_reliability_match_per_cycle_oracle
 
 echo "== microbench smoke (--iters 1 run + JSON schema check)"
 micro_dir="$(mktemp -d)"
